@@ -21,9 +21,9 @@ use crate::ooo::OooCore;
 ///
 /// Implementations must be deterministic: equal record streams against equal
 /// hierarchy state produce equal state, reports and `current_time`
-/// trajectories, at any batch size or producer-thread count. `current_time`
-/// must be monotone non-decreasing across `step` calls — the multi-core
-/// drive loop orders cores by it.
+/// trajectories, however the records were produced. `current_time` must be
+/// monotone non-decreasing across `step` calls — the multi-core drive loop
+/// orders cores by it.
 pub trait CoreTiming {
     /// Advances the core over one trace record, performing the demand access
     /// and any resulting prefetches against `hierarchy`.

@@ -49,4 +49,4 @@ pub use metrics::{CoreReport, PrefetcherReport, SystemReport};
 pub use ooo::OooCore;
 pub use prefetch::CompositeKind;
 pub use selection::{build_selector, SelectionAlgorithm};
-pub use system::{run_single_core, DriveOptions, RunError, System, DEFAULT_BATCH_RECORDS};
+pub use system::{run_single_core, RunError, System, DEFAULT_BATCH_RECORDS};

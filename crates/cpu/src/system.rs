@@ -5,21 +5,15 @@
 //! that shared-resource contention (L3, DRAM channels) is modelled
 //! faithfully.
 //!
-//! # The batched producer/consumer pipeline
+//! # Record production
 //!
-//! Record production (trace generation, `.altr` decode) and record
-//! consumption (the timing model) are separable: producers only decide
-//! *where* each core's records come from, never the order the drive loop
-//! consumes them in. [`DriveOptions`] exposes that split — records move from
-//! sources to the drive loop in batches, optionally produced on background
-//! threads feeding bounded per-core queues — and the serial min-time merge in
-//! `System::drive` stays untouched, so every batch size × producer count
-//! combination yields byte-identical reports (pinned by the determinism
-//! suite).
+//! Each core pulls its records on the simulating thread, in fixed batches of
+//! [`DEFAULT_BATCH_RECORDS`] flattened back into one record stream, and the
+//! serial min-time merge in `System::drive` decides the order they are
+//! consumed in. Production never reorders the merge, so a streamed run and a
+//! run over the materialised workloads yield byte-identical reports.
 
 use std::fmt;
-use std::sync::mpsc;
-use std::thread;
 
 use alecto_types::{MemoryRecord, TraceSource, Workload};
 use memsys::Hierarchy;
@@ -31,15 +25,10 @@ use crate::core_timing::{CoreEngine, CoreTiming};
 use crate::metrics::SystemReport;
 use crate::selection::SelectionAlgorithm;
 
-/// Records per batch moved from a producer to the drive loop when no other
-/// size is requested. Matches the `.altr` block size, so a batch of a
+/// Records per batch each core pulls from its [`TraceSource`]: the drive
+/// loop's fixed pull unit. Equals the `.altr` block size, so a batch of a
 /// replayed trace is one decoded block.
 pub const DEFAULT_BATCH_RECORDS: usize = 4096;
-
-/// Batches a producer may buffer ahead of the drive loop, per core. Bounds
-/// the memory of a run at `cores × queue × batch` records while letting
-/// producers stay ahead of the consumer.
-const PRODUCER_QUEUE_BATCHES: usize = 4;
 
 /// Validation error from [`System::run_sources`]: the run cannot start.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,38 +46,6 @@ impl fmt::Display for RunError {
 }
 
 impl std::error::Error for RunError {}
-
-/// Execution knobs for a run: how records move from the sources to the drive
-/// loop. These change wall-clock behaviour only, never simulated results —
-/// which is why they are deliberately *not* part of [`SystemConfig`] (whose
-/// `Debug` rendering feeds the harness cell cache key) and are never folded
-/// into trace fingerprints.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DriveOptions {
-    /// Records per batch handed from a producer to the drive loop (min 1).
-    /// Batching amortises per-record iterator dispatch; concatenating the
-    /// batches reproduces the per-record stream exactly.
-    pub batch_records: usize,
-    /// Background producer threads generating/decoding record batches, one
-    /// per core up to the core count (`0` produces inline on the driving
-    /// thread). Each producer feeds a bounded queue the drive loop consumes
-    /// in the usual deterministic timestamp-order merge.
-    pub producer_threads: usize,
-}
-
-impl DriveOptions {
-    /// The default execution knobs (batched, inline production).
-    #[must_use]
-    pub const fn new() -> Self {
-        Self { batch_records: DEFAULT_BATCH_RECORDS, producer_threads: 0 }
-    }
-}
-
-impl Default for DriveOptions {
-    fn default() -> Self {
-        Self::new()
-    }
-}
 
 /// A complete simulated system.
 #[derive(Debug)]
@@ -157,69 +114,20 @@ impl System {
     ///
     /// Returns [`RunError::NoSources`] if `sources` is empty.
     pub fn run_sources(&mut self, sources: &[TraceSource]) -> Result<SystemReport, RunError> {
-        self.run_sources_with(sources, DriveOptions::default())
-    }
-
-    /// [`System::run_sources`] with explicit execution knobs. Whatever the
-    /// batch size or producer count, the drive loop consumes the identical
-    /// per-core record sequences in the identical deterministic merge order,
-    /// so the report is byte-identical to `run_sources` — `options` trades
-    /// wall-clock for threads, nothing else.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RunError::NoSources`] if `sources` is empty.
-    pub fn run_sources_with(
-        &mut self,
-        sources: &[TraceSource],
-        options: DriveOptions,
-    ) -> Result<SystemReport, RunError> {
         if sources.is_empty() {
             return Err(RunError::NoSources);
         }
         let names: Vec<&str> =
             (0..self.cores.len()).map(|i| sources[i % sources.len()].name()).collect();
-        let batch = options.batch_records.max(1);
-        let producers = options.producer_threads.min(self.cores.len());
         // Each core replays its own iterator, even when several cores share
         // one source (homogeneous mixes).
-        if producers == 0 {
-            let streams: Vec<RecordStream<'_>> = (0..self.cores.len())
-                .map(|i| {
-                    Box::new(sources[i % sources.len()].record_batches(batch).flatten())
-                        as RecordStream<'_>
-                })
-                .collect();
-            return Ok(self.drive(&names, streams));
-        }
-        // The first `producers` cores get a dedicated background producer
-        // feeding a bounded batch queue; any remaining cores produce inline.
-        // Producers are independent per core, so the consumer blocking on one
-        // core's queue can never deadlock another core's producer.
-        let report = thread::scope(|scope| {
-            let streams: Vec<RecordStream<'_>> = (0..self.cores.len())
-                .map(|i| {
-                    let batches = sources[i % sources.len()].record_batches(batch);
-                    if i < producers {
-                        let (tx, rx) = mpsc::sync_channel(PRODUCER_QUEUE_BATCHES);
-                        scope.spawn(move || {
-                            for b in batches {
-                                // The drive loop always drains every stream,
-                                // so a send only fails if it panicked.
-                                if tx.send(b).is_err() {
-                                    break;
-                                }
-                            }
-                        });
-                        Box::new(rx.into_iter().flatten()) as RecordStream<'_>
-                    } else {
-                        Box::new(batches.flatten()) as RecordStream<'_>
-                    }
-                })
-                .collect();
-            self.drive(&names, streams)
-        });
-        Ok(report)
+        let streams: Vec<RecordStream<'_>> = (0..self.cores.len())
+            .map(|i| {
+                Box::new(sources[i % sources.len()].record_batches(DEFAULT_BATCH_RECORDS).flatten())
+                    as RecordStream<'_>
+            })
+            .collect();
+        Ok(self.drive(&names, streams))
     }
 
     /// Advances the core with the smallest local time that still has trace
@@ -460,43 +368,6 @@ mod tests {
             let a = eager.run(&workloads);
             let b = lazy.run_sources(&sources).expect("non-empty sources");
             assert_eq!(a, b, "streamed vs collected reports diverged at {cores} cores");
-        }
-    }
-
-    #[test]
-    fn batched_and_threaded_runs_match_the_default_drive() {
-        // Every batch size × producer count must reproduce the default run
-        // byte for byte: the knobs move records in bigger units or on other
-        // threads, they never reorder the deterministic merge.
-        let mk_source =
-            |n: u64, name: &'static str| {
-                TraceSource::new(name, true, usize::try_from(n).unwrap(), move || {
-                    Box::new((0..n).map(|i| {
-                        MemoryRecord::load(Pc::new(0x400), Addr::new(0x40_0000 + i * 64), 6)
-                    }))
-                })
-            };
-        for cores in [1usize, 4] {
-            let sources = [mk_source(900, "s"), mk_source(500, "t")];
-            let run_with = |options: DriveOptions| {
-                let mut system = System::new(
-                    SystemConfig::skylake_like(cores),
-                    SelectionAlgorithm::Alecto,
-                    CompositeKind::GsCsPmp,
-                );
-                system.run_sources_with(&sources, options).expect("non-empty sources")
-            };
-            let reference = run_with(DriveOptions::default());
-            for batch_records in [1usize, 7, 4096] {
-                for producer_threads in [0usize, 1, 8] {
-                    let report = run_with(DriveOptions { batch_records, producer_threads });
-                    assert_eq!(
-                        report, reference,
-                        "batch {batch_records} × producers {producer_threads} diverged \
-                         at {cores} cores"
-                    );
-                }
-            }
         }
     }
 

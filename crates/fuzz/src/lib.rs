@@ -8,8 +8,9 @@
 //!
 //! * **sanity** — metrics are finite, non-negative, and IPC stays within the
 //!   machine's fetch width;
-//! * **determinism** — the identical cell reports byte-identical results
-//!   under different drive batching and producer-thread counts;
+//! * **determinism** — the cell reports byte-identical results when its
+//!   scenario is round-tripped through an in-memory `.altr` trace and driven
+//!   as a materialised workload;
 //! * **pathology** — the paper's adaptive selector does not lose to the best
 //!   *static* prefetcher stack by more than a threshold.
 //!

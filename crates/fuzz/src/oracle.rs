@@ -5,8 +5,10 @@
 //! panel's selection); the first one that fires *is* the finding. Keeping the
 //! order fixed makes findings — and therefore whole fuzz runs — byte-stable.
 
-use alecto_types::TraceSource;
-use cpu::{CompositeKind, DriveOptions, SelectionAlgorithm, System, SystemConfig, SystemReport};
+use std::io::{self, Cursor};
+
+use alecto_types::{TraceSource, Workload};
+use cpu::{CompositeKind, SelectionAlgorithm, System, SystemConfig, SystemReport};
 use machine::MachineSpec;
 
 /// Default pathology threshold: the selector must stay within 5% of the best
@@ -19,8 +21,10 @@ pub enum OracleKind {
     /// Metrics must be well-formed: finite, non-negative, IPC within the
     /// machine's fetch width.
     Sanity,
-    /// The identical cell must report byte-identical results under different
-    /// batch sizes and producer-thread counts.
+    /// The cell must report byte-identical results when its scenario is
+    /// encoded to an in-memory `.altr` trace, decoded back and driven as a
+    /// materialised workload: the codec and the record-production path must
+    /// not move a byte.
     Determinism,
     /// The adaptive selector must not lose to the best *static* prefetcher
     /// stack by more than the panel's threshold.
@@ -107,10 +111,28 @@ pub fn run_cell(
     source: &TraceSource,
     algorithm: SelectionAlgorithm,
     composite: CompositeKind,
-    options: DriveOptions,
 ) -> SystemReport {
     let mut system = System::new(SystemConfig::from_machine(spec), algorithm, composite);
-    system.run_sources_with(std::slice::from_ref(source), options).expect("one source provided")
+    system.run_sources(std::slice::from_ref(source)).expect("one source provided")
+}
+
+/// `source` encoded to an in-memory `.altr` trace and decoded back into a
+/// materialised workload.
+///
+/// # Errors
+///
+/// Propagates codec errors (in memory, only a name over 255 bytes).
+fn altr_round_trip(source: &TraceSource) -> io::Result<Workload> {
+    let mut writer = traceio::TraceWriter::new(
+        Cursor::new(Vec::new()),
+        source.name(),
+        source.memory_intensive(),
+        0,
+    )?;
+    writer.write_all(source.records())?;
+    let (_, sink) = writer.finish_into_inner()?;
+    let (header, records) = traceio::decode_document(&sink.into_inner())?;
+    Ok(Workload::new(header.name, records, header.memory_intensive))
 }
 
 /// FNV-1a64 digest of a report's full `Debug` rendering — the identity the
@@ -123,11 +145,10 @@ pub fn report_digest(report: &SystemReport) -> u64 {
 }
 
 /// The report the digest is computed over: the panel's *subject* cell — the
-/// paper's adaptive selector on the machine's composite, default drive
-/// options.
+/// paper's adaptive selector on the machine's composite.
 #[must_use]
 pub fn subject_report(spec: &MachineSpec, source: &TraceSource) -> SystemReport {
-    run_cell(spec, source, SelectionAlgorithm::Alecto, machine_composite(spec), DriveOptions::new())
+    run_cell(spec, source, SelectionAlgorithm::Alecto, machine_composite(spec))
 }
 
 /// Checks `source` on `spec` against the panel; returns the first firing
@@ -135,8 +156,7 @@ pub fn subject_report(spec: &MachineSpec, source: &TraceSource) -> SystemReport 
 #[must_use]
 pub fn evaluate(spec: &MachineSpec, source: &TraceSource, panel: &OraclePanel) -> Option<Firing> {
     let composite = machine_composite(spec);
-    let subject =
-        run_cell(spec, source, SelectionAlgorithm::Alecto, composite, DriveOptions::new());
+    let subject = run_cell(spec, source, SelectionAlgorithm::Alecto, composite);
 
     if panel.enabled(OracleKind::Sanity) {
         if let Some(detail) = sanity_violation(spec, &subject) {
@@ -145,25 +165,29 @@ pub fn evaluate(spec: &MachineSpec, source: &TraceSource, panel: &OraclePanel) -
     }
 
     if panel.enabled(OracleKind::Determinism) {
-        // Same cell, different batching and producer threading: the drive
-        // loop documents these knobs trade wall-clock for threads and
-        // nothing else, so any field-level difference is a finding.
-        let alternate = run_cell(
-            spec,
-            source,
-            SelectionAlgorithm::Alecto,
-            composite,
-            DriveOptions { batch_records: 257, producer_threads: 2 },
-        );
-        if alternate != subject {
-            return Some(Firing {
-                oracle: OracleKind::Determinism,
-                detail: format!(
-                    "report diverges across drive options: geomean IPC {:?} (batch default, serial) vs {:?} (batch 257, 2 producers)",
-                    subject.geomean_ipc(),
-                    alternate.geomean_ipc()
-                ),
-            });
+        // Same cell, replayed from the scenario's `.altr` encoding through
+        // the eager `System::run` path: a recorded repro must reproduce the
+        // streamed run exactly, so any field-level difference is a finding.
+        let detail = match altr_round_trip(source) {
+            Err(err) => Some(format!("scenario does not round-trip through .altr: {err}")),
+            Ok(workload) => {
+                let mut system = System::new(
+                    SystemConfig::from_machine(spec),
+                    SelectionAlgorithm::Alecto,
+                    composite,
+                );
+                let replayed = system.run(std::slice::from_ref(&workload));
+                (replayed != subject).then(|| {
+                    format!(
+                        "report diverges after an .altr round trip: geomean IPC {:?} (streamed) vs {:?} (replayed)",
+                        subject.geomean_ipc(),
+                        replayed.geomean_ipc()
+                    )
+                })
+            }
+        };
+        if let Some(detail) = detail {
+            return Some(Firing { oracle: OracleKind::Determinism, detail });
         }
     }
 
@@ -174,8 +198,7 @@ pub fn evaluate(spec: &MachineSpec, source: &TraceSource, panel: &OraclePanel) -
         let (best_stack, best_ipc) = static_stacks
             .into_iter()
             .map(|stack| {
-                let report =
-                    run_cell(spec, source, SelectionAlgorithm::Ipcp, stack, DriveOptions::new());
+                let report = run_cell(spec, source, SelectionAlgorithm::Ipcp, stack);
                 (stack, report.geomean_ipc().unwrap_or(0.0))
             })
             .reduce(|best, candidate| if candidate.1 > best.1 { candidate } else { best })

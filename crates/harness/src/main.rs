@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! alecto-harness <experiment> [--accesses N] [--multicore-accesses N]
-//!                [--quick] [--jobs N] [--batch N] [--machine NAME|FILE]
+//!                [--quick] [--jobs N] [--machine NAME|FILE]
 //!                [--core-model approx|ooo] [--json PATH]
 //! alecto-harness compare <baseline.json> <candidate.json> [--tolerance PCT]
 //! alecto-harness list
@@ -15,7 +15,7 @@
 //!                      [--cache-capacity N] [--cache-dir PATH]
 //! alecto-harness trace record <benchmark> [--accesses N] --out PATH
 //! alecto-harness trace info <file.altr> [--verify]
-//! alecto-harness trace replay <benchmark|file:PATH> [--accesses N] [--jobs N] [--batch N]
+//! alecto-harness trace replay <benchmark|file:PATH> [--accesses N] [--jobs N]
 //!                             [--machine NAME|FILE] [--core-model approx|ooo] [--json PATH]
 //! alecto-harness trace import <records.txt> --out PATH [--name NAME] [--memory-intensive]
 //! alecto-harness trace import --dir DIR [--out DIR] [--jobs N] [--memory-intensive]
@@ -106,11 +106,8 @@
 //! `--jobs N` picks the worker-thread count of the parallel experiment
 //! engine (default: one per available hardware thread). It changes
 //! wall-clock only — results are byte-identical for every worker count.
-//! Threads the budget grants beyond one per grid cell are lent to the cells
-//! as in-cell record producers (and, for `trace replay`, block-parallel
-//! `.altr` decode workers) — equally invisible in the results. `--batch N`
-//! sets the records-per-batch granularity of that producer/consumer
-//! pipeline; it too never changes a byte of output.
+//! Each grid cell is one serial simulation, so workers beyond the number of
+//! cells are never spawned.
 //! `--json PATH` additionally writes the machine-readable
 //! `alecto-bench-v2` report to `PATH`. Both report (`--json`) and trace
 //! (`--out`) destinations are checked for writability up front, so a bad
@@ -124,7 +121,7 @@ use harness::RunScale;
 fn usage() -> ! {
     eprintln!(
         "usage: alecto-harness <experiment> [--accesses N] [--multicore-accesses N] [--quick]\n\
-         \x20                  [--jobs N] [--batch N] [--machine NAME|FILE]\n\
+         \x20                  [--jobs N] [--machine NAME|FILE]\n\
          \x20                  [--core-model approx|ooo] [--json PATH]\n\
          \x20      alecto-harness compare <baseline.json> <candidate.json> [--tolerance PCT]\n\
          \x20      alecto-harness list\n\
@@ -136,7 +133,7 @@ fn usage() -> ! {
          \x20      alecto-harness trace record <benchmark> [--accesses N] --out PATH\n\
          \x20      alecto-harness trace info <file.altr> [--verify]\n\
          \x20      alecto-harness trace replay <benchmark|file:PATH> [--accesses N] [--jobs N]\n\
-         \x20                                  [--batch N] [--machine NAME|FILE]\n\
+         \x20                                  [--machine NAME|FILE]\n\
          \x20                                  [--core-model approx|ooo] [--json PATH]\n\
          \x20      alecto-harness trace import <records.txt> --out PATH [--name NAME]\n\
          \x20                                  [--memory-intensive]\n\
@@ -156,10 +153,8 @@ fn usage() -> ! {
          \x20 --multicore-accesses N  per-core accesses for multi-core runs\n\
          \x20 --quick                 use the reduced CI scale (same as the `quick` experiment)\n\
          \x20 --jobs N                worker threads (N >= 1; default: available parallelism);\n\
-         \x20                         never changes results, only wall-clock; threads beyond\n\
-         \x20                         one per cell become in-cell record producers\n\
-         \x20 --batch N               records per producer batch (N >= 1; default 4096);\n\
-         \x20                         never changes results, only wall-clock\n\
+         \x20                         never changes results, only wall-clock; capped at one\n\
+         \x20                         worker per cell\n\
          \x20 --machine NAME|FILE     machine description every sweep cell lowers its config\n\
          \x20                         from: a built-in name (mobile desktop server manycore,\n\
          \x20                         see `machines`) or an alecto-machine-v1 file; supplies\n\
@@ -385,17 +380,6 @@ fn write_trace_atomically(
 /// traces are fully validated (checksum included) before anything runs, so
 /// a corrupt file exits 2 here instead of panicking inside a worker thread.
 fn resolve_spec(spec: &str, accesses: Option<usize>) -> (TraceSource, u64) {
-    resolve_spec_with_decode(spec, accesses, 0)
-}
-
-/// [`resolve_spec`] with block-parallel `.altr` decoding on `decode_workers`
-/// background threads per replay (0 = serial). The decoded stream — and the
-/// source fingerprint — is identical either way; only wall-clock changes.
-fn resolve_spec_with_decode(
-    spec: &str,
-    accesses: Option<usize>,
-    decode_workers: usize,
-) -> (TraceSource, u64) {
     if let Some(path) = traceio::file_spec_path(spec) {
         let reader = traceio::TraceReader::open(path).unwrap_or_else(|err| {
             eprintln!("error: {err}");
@@ -406,7 +390,7 @@ fn resolve_spec_with_decode(
             usage();
         }
         let seed = reader.header().seed;
-        return (reader.source_parallel(accesses, decode_workers), seed);
+        return (reader.source(accesses), seed);
     }
     let Some(suite) = traces::Suite::of(spec) else {
         eprintln!("error: unknown benchmark {spec:?} (try `alecto-harness list`)");
@@ -472,7 +456,6 @@ fn run_trace(args: &[String]) -> ! {
 
     let mut accesses: Option<usize> = None;
     let mut jobs: Option<usize> = None;
-    let mut batch: Option<usize> = None;
     let mut machine_spec: Option<machine::MachineSpec> = None;
     let mut core_model: Option<cpu::CoreModelKind> = None;
     let mut out: Option<String> = None;
@@ -498,13 +481,6 @@ fn run_trace(args: &[String]) -> ! {
                     usage();
                 }
                 jobs = Some(n);
-            }
-            "--batch" => {
-                let n: usize = parse_flag_value(rest, &mut i);
-                if n == 0 {
-                    usage();
-                }
-                batch = Some(n);
             }
             "--machine" => {
                 let arg: String = parse_path_value(rest, &mut i);
@@ -567,18 +543,8 @@ fn run_trace(args: &[String]) -> ! {
             if let Some(kind) = core_model {
                 scale = scale.with_core_model(kind);
             }
-            // Thread budget beyond the cell workers goes to block-parallel
-            // `.altr` decoding inside each replay. Like --jobs and --batch,
-            // this changes wall-clock only: the report is byte-identical.
-            let decode_workers = harness::effective_jobs(scale.jobs).saturating_sub(1).min(4);
-            let (source, _) = resolve_spec_with_decode(spec, accesses, decode_workers);
-            let options = harness::DriveOptions {
-                batch_records: batch.unwrap_or(cpu::DEFAULT_BATCH_RECORDS),
-                ..harness::DriveOptions::new()
-            };
-            let experiment = harness::with_drive_options(options, || {
-                figures::replay(std::slice::from_ref(&source), &scale)
-            });
+            let (source, _) = resolve_spec(spec, accesses);
+            let experiment = figures::replay(std::slice::from_ref(&source), &scale);
             println!("{}", experiment.render());
             if let Some(path) = json_path {
                 if let Err(err) = std::fs::write(&path, experiments_to_json(&[experiment])) {
@@ -1003,7 +969,6 @@ fn main() {
     let mut accesses_override: Option<usize> = None;
     let mut multicore_override: Option<usize> = None;
     let mut jobs: Option<usize> = None;
-    let mut batch: Option<usize> = None;
     let mut machine_spec: Option<machine::MachineSpec> = None;
     let mut core_model: Option<cpu::CoreModelKind> = None;
     let mut json_path: Option<String> = None;
@@ -1041,13 +1006,6 @@ fn main() {
                 }
                 jobs = Some(n);
             }
-            "--batch" => {
-                let n: usize = parse_flag_value(&args, &mut i);
-                if n == 0 {
-                    usage();
-                }
-                batch = Some(n);
-            }
             "--json" => json_path = Some(parse_path_value(&args, &mut i)),
             name if experiment.is_none() && !name.starts_with('-') => {
                 experiment = Some(name.to_string());
@@ -1082,11 +1040,7 @@ fn main() {
     }
 
     let Some(build) = figures::builder(&experiment) else { usage() };
-    let options = harness::DriveOptions {
-        batch_records: batch.unwrap_or(cpu::DEFAULT_BATCH_RECORDS),
-        ..harness::DriveOptions::new()
-    };
-    let experiments = harness::with_drive_options(options, || build(&scale));
+    let experiments = build(&scale);
     for e in &experiments {
         println!("{}", e.render());
     }

@@ -8,8 +8,8 @@
 //! an *independent* simulation: it builds its own [`System`] from a shared
 //! `&SystemConfig` and streams its records from a shared, immutable
 //! [`TraceSource`] (each cell replays its own lazy iterator, so traces are
-//! never materialised — a 10-million-access sweep holds one record per core
-//! in memory). The engine fans the cells out across a [`std::thread::scope`]
+//! never materialised — a 10-million-access sweep holds one record batch
+//! per core in memory). The engine fans the cells out across a [`std::thread::scope`]
 //! worker pool (no external dependencies) and re-assembles the reports **in
 //! job order**, so the resulting [`SpeedupGrid`] is byte-identical whatever
 //! the worker count or the order in which workers finish. Determinism rests
@@ -23,13 +23,13 @@
 //! 3. cells never share mutable state: `cpu` statically asserts that
 //!    `System` construction is `Send`-clean.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
 
 use alecto_types::{fnv1a_64, geomean, TraceSource, FNV1A_OFFSET};
-use cpu::{CompositeKind, DriveOptions, SelectionAlgorithm, System, SystemConfig, SystemReport};
+use cpu::{CompositeKind, SelectionAlgorithm, System, SystemConfig, SystemReport};
 
 use crate::report::Table;
 
@@ -255,40 +255,7 @@ impl CellJob<'_> {
 #[must_use]
 pub fn run_cell(cell: &CellJob<'_>) -> SystemReport {
     let mut system = System::new(cell.config.clone(), cell.algorithm, cell.composite);
-    system
-        .run_sources_with(cell.sources, current_drive_options())
-        .expect("cells are validated to carry at least one source")
-}
-
-thread_local! {
-    /// The [`DriveOptions`] cells on the *calling* thread run with, scoped in
-    /// via [`with_drive_options`]. Defaults to [`DriveOptions::new`]. Like
-    /// [`CELL_EXECUTOR`], the engine captures this before spawning workers so
-    /// a whole sweep inherits the caller's options.
-    static CELL_DRIVE: Cell<DriveOptions> = const { Cell::new(DriveOptions::new()) };
-}
-
-/// The drive options [`run_cell`] on this thread currently uses. These knobs
-/// change wall-clock only — reports stay byte-identical — so they are *not*
-/// part of [`CellJob::cache_key`].
-#[must_use]
-pub fn current_drive_options() -> DriveOptions {
-    CELL_DRIVE.with(Cell::get)
-}
-
-/// Runs `f` with `options` installed as the current thread's cell drive
-/// options: every cell the closure runs (however deep in the figure
-/// builders) drives its `System` with them. The previous options are
-/// restored on exit, even on panic.
-pub fn with_drive_options<R>(options: DriveOptions, f: impl FnOnce() -> R) -> R {
-    struct Restore(DriveOptions);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            CELL_DRIVE.with(|slot| slot.set(self.0));
-        }
-    }
-    let _restore = Restore(CELL_DRIVE.with(|slot| slot.replace(options)));
-    f()
+    system.run_sources(cell.sources).expect("cells are validated to carry at least one source")
 }
 
 /// A pluggable cell-execution strategy, consulted for every cell the
@@ -343,19 +310,9 @@ pub fn with_cell_executor<R>(executor: Arc<dyn CellExecutor>, f: impl FnOnce() -
 fn execute_jobs(jobs: &[CellJob<'_>], requested_workers: usize) -> Vec<SystemReport> {
     let executor = CELL_EXECUTOR.with(|slot| slot.borrow().clone());
     let workers = worker_count(requested_workers, jobs.len());
-    // Threads the `--jobs` budget grants beyond one-per-cell are lent to the
-    // cells themselves as record producers: a 2-cell grid under `--jobs 8`
-    // runs 2 cell workers whose simulations each decode/generate on up to 3
-    // background producers, so the whole budget does work. Producers change
-    // wall-clock only, never results.
-    let spare = effective_jobs(requested_workers).saturating_sub(workers);
-    let mut drive = current_drive_options();
-    drive.producer_threads = drive.producer_threads.max(spare / workers);
-    let run = |job: &CellJob<'_>| {
-        with_drive_options(drive, || match &executor {
-            Some(executor) => executor.execute(job),
-            None => run_cell(job),
-        })
+    let run = |job: &CellJob<'_>| match &executor {
+        Some(executor) => executor.execute(job),
+        None => run_cell(job),
     };
     if workers == 1 {
         return jobs.iter().map(run).collect();

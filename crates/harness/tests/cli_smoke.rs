@@ -92,6 +92,18 @@ fn zero_or_malformed_jobs_exits_two_with_usage() {
 }
 
 #[test]
+fn removed_batch_flag_is_rejected_with_usage() {
+    // The record batch size is a fixed constant, not a flag: passing the old
+    // `--batch N` must fail loudly rather than be silently ignored.
+    for args in [&["quick", "--batch", "64"][..], &["trace", "replay", "mcf", "--batch", "64"]] {
+        let output = harness().args(args).output().expect("spawn harness");
+        assert_eq!(output.status.code(), Some(2), "{args:?} must be rejected");
+        let stderr = String::from_utf8(output.stderr).expect("utf-8 usage");
+        assert!(stderr.contains("usage: alecto-harness"), "no usage on stderr:\n{stderr}");
+    }
+}
+
+#[test]
 fn unwritable_json_path_exits_two_with_usage() {
     // A bad --json path (missing parent directory) is a flag error like any
     // other: exit 2 with the usage text, not a raw io error with exit 1 —

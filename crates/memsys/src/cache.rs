@@ -259,18 +259,6 @@ impl Cache {
         self.find_way(block, line.raw()).is_some()
     }
 
-    /// Batched residency probe: pushes one `bool` per line onto `out`, in
-    /// order, without touching replacement state or statistics. Exactly
-    /// equivalent to calling [`Cache::contains`] per line — the batch exists
-    /// to amortise call dispatch over the wide tag scan, not to change
-    /// semantics.
-    pub fn contains_batch(&self, lines: &[LineAddr], out: &mut Vec<bool>) {
-        out.reserve(lines.len());
-        for &line in lines {
-            out.push(self.contains(line));
-        }
-    }
-
     /// Demand lookup. On a hit, updates LRU state, clears the
     /// "prefetched-unused" bit, and returns the pre-access metadata so the
     /// caller can attribute prefetch usefulness.
@@ -593,19 +581,6 @@ mod tests {
             }
             assert!(!c.contains(LineAddr::new(ways as u64 + 1)));
         }
-    }
-
-    #[test]
-    fn batched_probe_matches_scalar_probes() {
-        let mut c = tiny_cache(4, 4);
-        for i in 0..9 {
-            c.fill(LineAddr::new(i * 3), None, None, false);
-        }
-        let lines: Vec<LineAddr> = (0..30).map(LineAddr::new).collect();
-        let mut batched = Vec::new();
-        c.contains_batch(&lines, &mut batched);
-        let scalar: Vec<bool> = lines.iter().map(|&l| c.contains(l)).collect();
-        assert_eq!(batched, scalar);
     }
 
     #[test]

@@ -51,17 +51,6 @@ pub struct DemandResult {
     pub coverage: CoverageEvent,
 }
 
-/// One demand access of a batch handed to [`Hierarchy::demand_access_batch`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DemandRequest {
-    /// Line accessed.
-    pub line: LineAddr,
-    /// Cycle the access issues at.
-    pub now: Cycle,
-    /// Whether the access is a store (marks the line dirty).
-    pub is_store: bool,
-}
-
 /// Result of issuing one prefetch request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PrefetchIssueResult {
@@ -295,34 +284,6 @@ impl Hierarchy {
         timing.demand_accesses += 1;
         timing.demand_latency_cycles += result.latency;
         result
-    }
-
-    /// Performs a batch of demand accesses from `core`, appending one
-    /// [`DemandResult`] per request to `out` in request order. Semantically
-    /// identical to calling [`Hierarchy::demand_access_kind`] once per
-    /// request — the batch entry point exists to amortise dispatch across
-    /// the hot path (one call, one `&mut self` borrow, one bounds check on
-    /// the core index per batch instead of per access); the determinism
-    /// suite pins the equivalence.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `core` is out of range.
-    pub fn demand_access_batch(
-        &mut self,
-        core: usize,
-        requests: &[DemandRequest],
-        out: &mut Vec<DemandResult>,
-    ) {
-        assert!(core < self.cores.len(), "core index {core} out of range");
-        out.reserve(requests.len());
-        for req in requests {
-            let result = self.demand_access_inner(core, req.line, req.now, req.is_store);
-            let timing = &mut self.cores[core].timing;
-            timing.demand_accesses += 1;
-            timing.demand_latency_cycles += result.latency;
-            out.push(result);
-        }
     }
 
     fn demand_access_inner(
@@ -811,33 +772,6 @@ mod tests {
             "victim should be reported useless"
         );
         assert!(h.quality(0).overpredicted >= 1);
-    }
-
-    #[test]
-    fn batched_demand_accesses_match_scalar_accesses() {
-        // The batch entry point must be indistinguishable from per-access
-        // calls: same results, same stats, same feedback, same DRAM state.
-        let requests: Vec<DemandRequest> = (0..200u64)
-            .map(|i| DemandRequest {
-                line: LineAddr::new((i * 13) % 64),
-                now: i * 3,
-                is_store: i % 5 == 0,
-            })
-            .collect();
-        let mut scalar = hier(1);
-        let scalar_results: Vec<DemandResult> = requests
-            .iter()
-            .map(|r| scalar.demand_access_kind(0, r.line, r.now, r.is_store))
-            .collect();
-        let mut batched = hier(1);
-        let mut batched_results = Vec::new();
-        for chunk in requests.chunks(7) {
-            batched.demand_access_batch(0, chunk, &mut batched_results);
-        }
-        assert_eq!(batched_results, scalar_results);
-        assert_eq!(batched.timing_stats(0), scalar.timing_stats(0));
-        assert_eq!(batched.l1_stats(0), scalar.l1_stats(0));
-        assert_eq!(batched.drain_feedback(), scalar.drain_feedback());
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub use config::{CacheParams, DramKind, DramParams, HierarchyParams, Level};
 pub use dram::DramModel;
 pub use dram::DramStats;
 pub use hierarchy::{
-    CoverageEvent, DemandRequest, DemandResult, Hierarchy, PrefetchFeedback, PrefetchIssueResult,
+    CoverageEvent, DemandResult, Hierarchy, PrefetchFeedback, PrefetchIssueResult,
 };
 pub use mshr::{MshrEntry, MshrFile};
 pub use stats::{CacheStats, Cycle, PrefetchQuality};

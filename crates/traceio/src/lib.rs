@@ -42,17 +42,13 @@
 
 pub mod champsim;
 pub mod format;
-pub mod parallel;
 pub mod reader;
 pub mod varint;
 pub mod writer;
 
 pub use champsim::{import_text, ImportError};
 pub use format::{TraceHeader, DEFAULT_BLOCK_RECORDS, FORMAT_VERSION, MAGIC};
-pub use parallel::{decode_document_parallel, parallel_records, ParallelRecords};
-pub use reader::{
-    decode_document, file_source, file_source_parallel, RecordDecoder, TraceReader, TraceStats,
-};
+pub use reader::{decode_document, file_source, RecordDecoder, TraceReader, TraceStats};
 pub use writer::{record_source, TraceWriter};
 
 /// The benchmark-spec prefix that resolves to a file-backed trace in the

@@ -204,14 +204,15 @@ impl TraceSource {
     }
 
     /// Starts a fresh replay yielding the records in batches of at most
-    /// `batch` records (minimum 1) — the unit the batched drive pipeline
-    /// moves between producer threads and the simulation loop.
+    /// `batch` records (minimum 1). The simulator's drive loop pulls each
+    /// core's records in fixed batches of `cpu::DEFAULT_BATCH_RECORDS`, which
+    /// equals the `.altr` block size.
     ///
     /// Batching changes how many records move per call, never which records
     /// or in what order: concatenating the yielded batches reproduces
     /// [`TraceSource::records`] exactly, for any batch size. The batch size
-    /// is an execution knob, not identity — it is deliberately **not**
-    /// folded into the fingerprint.
+    /// is not identity — it is deliberately **not** folded into the
+    /// fingerprint.
     #[must_use]
     pub fn record_batches(&self, batch: usize) -> RecordBatches {
         RecordBatches { inner: self.records(), batch: batch.max(1) }
@@ -295,10 +296,9 @@ impl TraceSource {
     }
 }
 
-/// Iterator of record batches minted by [`TraceSource::record_batches`].
-/// Every batch but the last holds exactly the requested batch size; the last
-/// holds the remainder. `Send`, like the per-record iterator, so a batch
-/// stream can be driven from a background producer thread.
+/// Iterator of record batches minted by [`TraceSource::record_batches`]:
+/// the drive loop's fixed pull unit. Every batch but the last holds exactly
+/// the requested batch size; the last holds the remainder.
 pub struct RecordBatches {
     inner: BoxedRecordIter,
     batch: usize,

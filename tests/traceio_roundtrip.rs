@@ -148,30 +148,6 @@ fn file_scheme_sources_drop_into_multicore_runs() {
 }
 
 #[test]
-fn parallel_decode_sources_are_indistinguishable_from_serial_ones() {
-    // `source_parallel` decodes block frames on background workers but must
-    // yield the identical record stream — capped or not — and the identical
-    // content fingerprint, so the cell cache treats both decoders as the
-    // same trace.
-    let generated = traces::spec06::source("mcf", 700);
-    let (scratch, serial) = record(&generated, "par");
-    let reader = traceio::TraceReader::open(&scratch.0).expect("open recorded trace");
-    for cap in [None, Some(123usize), Some(700)] {
-        let serial_src = reader.source(cap);
-        for workers in [0usize, 1, 4] {
-            let parallel_src = reader.source_parallel(cap, workers);
-            assert_eq!(parallel_src.fingerprint(), serial_src.fingerprint());
-            assert_eq!(
-                parallel_src.collect(),
-                serial_src.collect(),
-                "cap {cap:?} × workers {workers}"
-            );
-        }
-    }
-    assert_eq!(serial.collect(), generated.collect());
-}
-
-#[test]
 fn champsim_import_round_trips_through_the_simulator() {
     // An external text trace imports to .altr and then drives the same
     // simulation as the equivalent in-memory workload.
