@@ -236,13 +236,17 @@ impl Hierarchy {
             .or_else(|| self.l3_mshr.completion_of(line, now))
     }
 
-    /// Drains accumulated prefetch usefulness feedback.
-    pub fn drain_feedback(&mut self) -> Vec<PrefetchFeedback> {
-        std::mem::take(&mut self.feedback)
+    /// Drains accumulated prefetch usefulness feedback, oldest first. The
+    /// buffer keeps its allocation for the next record.
+    pub fn drain_feedback(&mut self) -> std::vec::Drain<'_, PrefetchFeedback> {
+        self.feedback.drain(..)
     }
 
+    /// Reports a fill's victim to the selectors if it was a prefetched line
+    /// that no demand ever used, and counts it as overpredicted.
     fn record_eviction_feedback(
         feedback: &mut Vec<PrefetchFeedback>,
+        quality: &mut PrefetchQuality,
         evicted: Option<crate::cache::EvictionInfo>,
     ) {
         if let Some(ev) = evicted {
@@ -254,6 +258,7 @@ impl Hierarchy {
                         line: ev.line,
                         useful: false,
                     });
+                    quality.overpredicted += 1;
                 }
             }
         }
@@ -482,23 +487,17 @@ impl Hierarchy {
         let completion = now + latency;
 
         // --- Fills -----------------------------------------------------------
-        let mut local_feedback = Vec::new();
-        let ev = self.cores[core].l1d.fill(line, None, None, is_store);
-        Self::record_eviction_feedback(&mut local_feedback, ev);
+        let cp = &mut self.cores[core];
+        let ev = cp.l1d.fill(line, None, None, is_store);
+        Self::record_eviction_feedback(&mut self.feedback, &mut cp.quality, ev);
         if fill_l2 {
-            let ev = self.cores[core].l2.fill(line, None, None, false);
-            Self::record_eviction_feedback(&mut local_feedback, ev);
+            let ev = cp.l2.fill(line, None, None, false);
+            Self::record_eviction_feedback(&mut self.feedback, &mut cp.quality, ev);
         }
         if fill_l3 {
             let ev = self.l3.fill(line, None, None, false);
-            Self::record_eviction_feedback(&mut local_feedback, ev);
+            Self::record_eviction_feedback(&mut self.feedback, &mut cp.quality, ev);
         }
-        for fb in &local_feedback {
-            if !fb.useful {
-                self.cores[core].quality.overpredicted += 1;
-            }
-        }
-        self.feedback.extend(local_feedback);
 
         DemandResult { hit_level, latency, completion_cycle: completion, coverage }
     }
@@ -623,26 +622,16 @@ impl Hierarchy {
         }
 
         // Fill the target level (timing is governed by the MSHR entry).
-        let mut local_feedback = Vec::new();
+        let cp = &mut self.cores[core];
         let ev = match fill_level {
-            FillLevel::L1 => {
-                self.cores[core].l1d.fill(line, Some(req.issuer), Some(req.trigger_pc), false)
-            }
-            FillLevel::L2 => {
-                self.cores[core].l2.fill(line, Some(req.issuer), Some(req.trigger_pc), false)
-            }
+            FillLevel::L1 => cp.l1d.fill(line, Some(req.issuer), Some(req.trigger_pc), false),
+            FillLevel::L2 => cp.l2.fill(line, Some(req.issuer), Some(req.trigger_pc), false),
         };
-        Self::record_eviction_feedback(&mut local_feedback, ev);
+        Self::record_eviction_feedback(&mut self.feedback, &mut cp.quality, ev);
         if went_to_dram {
             let ev = self.l3.fill(line, None, None, false);
-            Self::record_eviction_feedback(&mut local_feedback, ev);
+            Self::record_eviction_feedback(&mut self.feedback, &mut cp.quality, ev);
         }
-        for fb in &local_feedback {
-            if !fb.useful {
-                self.cores[core].quality.overpredicted += 1;
-            }
-        }
-        self.feedback.extend(local_feedback);
 
         self.prefetches_issued += 1;
         PrefetchIssueResult { issued: true, completion_cycle: completion, went_to_dram }
@@ -705,7 +694,7 @@ mod tests {
         let r = h.demand_access(0, LineAddr::new(0x200), p.completion_cycle + 10);
         assert!(matches!(r.coverage, CoverageEvent::CoveredTimely { issuer: PrefetcherId(0), .. }));
         assert_eq!(h.quality(0).covered_timely, 1);
-        let fb = h.drain_feedback();
+        let fb: Vec<_> = h.drain_feedback().collect();
         assert!(fb.iter().any(|f| f.useful && f.line == LineAddr::new(0x200)));
     }
 
@@ -766,12 +755,16 @@ mod tests {
             let r = h.demand_access(0, line, t);
             t = r.completion_cycle + 1;
         }
-        let fb = h.drain_feedback();
+        let fb: Vec<_> = h.drain_feedback().collect();
         assert!(
             fb.iter().any(|f| !f.useful && f.line == victim),
             "victim should be reported useless"
         );
-        assert!(h.quality(0).overpredicted >= 1);
+        // Every useless report is counted as overpredicted exactly once, and
+        // draining leaves the buffer empty.
+        let useless = fb.iter().filter(|f| !f.useful).count();
+        assert_eq!(h.quality(0).overpredicted, useless as u64);
+        assert_eq!(h.drain_feedback().count(), 0);
     }
 
     #[test]

@@ -2,8 +2,11 @@
 //! (a) repeated misses to the same line merge instead of re-fetching, and
 //! (b) the number of outstanding misses — and therefore the exploitable
 //! memory-level parallelism — is bounded, as in Table I (16/32/64 MSHRs).
-
-use std::collections::BTreeMap;
+//!
+//! Every lookup, allocation and free-slot check first retires the entries
+//! that completed by the caller's cycle. Most calls retire nothing, so the
+//! file caches a lower bound on the earliest outstanding completion and
+//! skips the sweep while the caller's cycle is still below it.
 
 use alecto_types::{LineAddr, PrefetcherId};
 
@@ -24,16 +27,22 @@ pub struct MshrEntry {
 
 /// A fixed-capacity file of outstanding misses.
 ///
-/// Entries are kept in a `BTreeMap` rather than a `HashMap` on purpose:
-/// victim selection under structural hazards breaks completion-time ties by
-/// iteration order, and a hash map's order varies from process to process,
-/// which would make simulation results irreproducible. With an ordered map
-/// (plus the explicit line-address tie-breaks below) every run — serial or
-/// on a worker thread of the parallel harness — is byte-identical.
+/// The live entries sit unordered in a flat `Vec` (at most one per line), so
+/// lookups scan only what is outstanding, not the capacity. Storage order
+/// never reaches the results: victim selection under structural hazards
+/// ranks entries by the explicit `(completion, line)` key, which is unique
+/// because lines are, so every run — serial or on a worker thread of the
+/// parallel harness — is byte-identical.
+///
+/// `earliest` is never above the smallest `completion` in `entries`
+/// (`Cycle::MAX` when empty), so a retirement sweep at a cycle below it
+/// would remove nothing and is skipped. That holds for any call order,
+/// including the shared L3 file, which each core probes at its own clock.
 #[derive(Debug, Clone)]
 pub struct MshrFile {
     capacity: usize,
-    entries: BTreeMap<LineAddr, MshrEntry>,
+    entries: Vec<MshrEntry>,
+    earliest: Cycle,
 }
 
 impl MshrFile {
@@ -45,7 +54,7 @@ impl MshrFile {
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "MSHR file needs at least one entry");
-        Self { capacity, entries: BTreeMap::new() }
+        Self { capacity, entries: Vec::new(), earliest: Cycle::MAX }
     }
 
     /// Maximum number of outstanding misses.
@@ -61,21 +70,35 @@ impl MshrFile {
         self.entries.len()
     }
 
-    /// Removes entries that completed at or before `now`.
-    pub fn retire(&mut self, now: Cycle) {
-        self.entries.retain(|_, e| e.completion > now);
+    /// Removes entries that completed at or before `now`, and tightens the
+    /// watermark to the earliest survivor.
+    fn retire(&mut self, now: Cycle) {
+        if now < self.earliest {
+            return;
+        }
+        let mut earliest = Cycle::MAX;
+        self.entries.retain(|e| {
+            let live = e.completion > now;
+            if live {
+                earliest = earliest.min(e.completion);
+            }
+            live
+        });
+        self.earliest = earliest;
     }
 
     /// Looks up an in-flight miss for `line`, retiring stale entries first.
+    ///
+    /// Callers may mark the entry `demand_merged`; they must not move its
+    /// `completion` earlier, which would break the retirement watermark.
     pub fn lookup(&mut self, line: LineAddr, now: Cycle) -> Option<&mut MshrEntry> {
         self.retire(now);
-        self.entries.get_mut(&line)
+        self.entries.iter_mut().find(|e| e.line == line)
     }
 
     /// Returns the earliest completion time among outstanding entries, if any.
-    #[must_use]
-    pub fn earliest_completion(&self) -> Option<Cycle> {
-        self.entries.values().map(|e| e.completion).min()
+    fn earliest_completion(&self) -> Option<Cycle> {
+        self.entries.iter().map(|e| e.completion).min()
     }
 
     /// Non-mutating completion probe: the cycle at which the outstanding miss
@@ -86,7 +109,7 @@ impl MshrFile {
     /// this particular access come back?" without perturbing the file.
     #[must_use]
     pub fn completion_of(&self, line: LineAddr, now: Cycle) -> Option<Cycle> {
-        self.entries.get(&line).map(|e| e.completion).filter(|&c| c > now)
+        self.entries.iter().find(|e| e.line == line).map(|e| e.completion).filter(|&c| c > now)
     }
 
     /// Allocates an entry for `line`.
@@ -98,7 +121,8 @@ impl MshrFile {
     /// returned value is the number of cycles the requester had to stall.
     ///
     /// The caller is responsible for having checked that `line` is not already
-    /// in flight (via [`MshrFile::lookup`]).
+    /// in flight (via [`MshrFile::lookup`]); if it is, the new entry replaces
+    /// the old one.
     pub fn allocate(
         &mut self,
         line: LineAddr,
@@ -113,42 +137,37 @@ impl MshrFile {
             // last (it has received the least DRAM service so far).
             let prefetch_victim = if prefetch_issuer.is_none() {
                 self.entries
-                    .values()
-                    .filter(|e| e.prefetch_issuer.is_some() && !e.demand_merged)
-                    .max_by_key(|e| (e.completion, e.line))
-                    .map(|e| e.line)
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, e)| e.prefetch_issuer.is_some() && !e.demand_merged)
+                    .max_by_key(|(_, e)| (e.completion, e.line))
+                    .map(|(i, _)| i)
             } else {
                 None
             };
             if let Some(victim) = prefetch_victim {
-                self.entries.remove(&victim);
+                self.entries.swap_remove(victim);
             } else {
                 // Structural hazard: wait for the oldest outstanding miss.
+                // Retiring at its completion frees at least its own entry.
                 if let Some(earliest) = self.earliest_completion() {
                     stall = earliest.saturating_sub(now);
                     self.retire(earliest);
                 }
-                // If retiring did not help (all completions identical and
-                // still in the future), forcefully drop the earliest to make
-                // room; this only triggers under extreme oversubscription.
-                if self.entries.len() >= self.capacity {
-                    if let Some((&victim, _)) =
-                        self.entries.iter().min_by_key(|(_, e)| (e.completion, e.line))
-                    {
-                        self.entries.remove(&victim);
-                    }
-                }
+                debug_assert!(self.entries.len() < self.capacity);
             }
         }
-        self.entries.insert(
+        let entry = MshrEntry {
             line,
-            MshrEntry {
-                line,
-                completion: completion + stall,
-                prefetch_issuer,
-                demand_merged: false,
-            },
-        );
+            completion: completion + stall,
+            prefetch_issuer,
+            demand_merged: false,
+        };
+        self.earliest = self.earliest.min(entry.completion);
+        match self.entries.iter_mut().find(|e| e.line == line) {
+            Some(slot) => *slot = entry,
+            None => self.entries.push(entry),
+        }
         stall
     }
 
@@ -219,6 +238,23 @@ mod tests {
         assert_eq!(m.occupancy(15), 1);
         assert_eq!(m.occupancy(25), 0);
         assert!(m.has_free(0));
+    }
+
+    #[test]
+    fn watermark_tracks_the_earliest_live_completion() {
+        let mut m = MshrFile::new(4);
+        assert_eq!(m.earliest, Cycle::MAX);
+        m.allocate(LineAddr::new(1), 100, None, 0);
+        m.allocate(LineAddr::new(2), 50, None, 0);
+        assert_eq!(m.earliest, 50);
+        // Below the watermark nothing retires, whatever order clocks come in.
+        assert_eq!(m.occupancy(40), 2);
+        assert_eq!(m.occupancy(10), 2);
+        // A sweep at or past it retires and moves the watermark up.
+        assert_eq!(m.occupancy(50), 1);
+        assert_eq!(m.earliest, 100);
+        assert_eq!(m.occupancy(100), 0);
+        assert_eq!(m.earliest, Cycle::MAX);
     }
 
     #[test]
