@@ -3,6 +3,7 @@
 //! benches for the design choices called out in DESIGN.md (cost of DDRA per
 //! demand access, cost of the simulator substrate per simulated access).
 
+use alecto_types::MemoryRecord;
 use cpu::{CompositeKind, SelectionAlgorithm, SystemConfig};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use memsys::{Hierarchy, HierarchyParams};
@@ -10,7 +11,7 @@ use prefetch::build_composite;
 
 fn selector_per_access_cost(c: &mut Criterion) {
     let mut group = c.benchmark_group("selector_per_access");
-    let workload = traces::spec06::workload("GemsFDTD", 4_000);
+    let records: Vec<MemoryRecord> = traces::spec06::source("GemsFDTD", 4_000).records().collect();
     for algorithm in [
         SelectionAlgorithm::Ipcp,
         SelectionAlgorithm::Dol,
@@ -22,7 +23,7 @@ fn selector_per_access_cost(c: &mut Criterion) {
             let prefetchers = build_composite(CompositeKind::GsCsPmp);
             let mut idx = 0usize;
             b.iter(|| {
-                let record = &workload.records[idx % workload.records.len()];
+                let record = &records[idx % records.len()];
                 idx += 1;
                 black_box(selector.allocate(&record.demand(), &prefetchers))
             });
@@ -33,7 +34,7 @@ fn selector_per_access_cost(c: &mut Criterion) {
 
 fn prefetcher_training_cost(c: &mut Criterion) {
     let mut group = c.benchmark_group("prefetcher_train");
-    let workload = traces::spec06::workload("soplex", 4_000);
+    let records: Vec<MemoryRecord> = traces::spec06::source("soplex", 4_000).records().collect();
     for kind in [CompositeKind::GsCsPmp, CompositeKind::GsBertiCplx] {
         for mut pf in build_composite(kind) {
             let label = format!("{}_{}", kind.label(), pf.name());
@@ -41,7 +42,7 @@ fn prefetcher_training_cost(c: &mut Criterion) {
                 let mut out = Vec::new();
                 let mut idx = 0usize;
                 b.iter(|| {
-                    let record = &workload.records[idx % workload.records.len()];
+                    let record = &records[idx % records.len()];
                     idx += 1;
                     out.clear();
                     pf.train_and_predict(&record.demand(), 4, &mut out);
@@ -69,7 +70,7 @@ fn hierarchy_demand_access_cost(c: &mut Criterion) {
 fn full_system_simulation_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("system_throughput");
     group.sample_size(10);
-    let workload = traces::spec06::workload("GemsFDTD", 3_000);
+    let source = traces::spec06::source("GemsFDTD", 3_000);
     for algorithm in [SelectionAlgorithm::NoPrefetching, SelectionAlgorithm::Alecto] {
         group.bench_function(algorithm.label(), |b| {
             b.iter(|| {
@@ -77,7 +78,7 @@ fn full_system_simulation_throughput(c: &mut Criterion) {
                     SystemConfig::skylake_like(1),
                     algorithm,
                     CompositeKind::GsCsPmp,
-                    &workload,
+                    &source,
                 ))
             });
         });

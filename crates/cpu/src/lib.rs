@@ -12,17 +12,17 @@
 //!
 //! ```
 //! use cpu::{System, SystemConfig, SelectionAlgorithm, CompositeKind};
-//! use alecto_types::{Workload, MemoryRecord, Pc, Addr};
+//! use alecto_types::{MemoryRecord, Pc, Addr, TraceSource};
 //!
-//! // A small streaming workload.
-//! let records: Vec<MemoryRecord> = (0..2_000)
-//!     .map(|i| MemoryRecord::load(Pc::new(0x400), Addr::new(0x10_0000 + i * 64), 6))
-//!     .collect();
-//! let workload = Workload::new("stream", records, true);
+//! // A small streaming workload, generated on demand.
+//! let trace = TraceSource::new("stream", true, 2_000, || {
+//!     let addr = |i: u64| Addr::new(0x10_0000 + i * 64);
+//!     Box::new((0..).map(move |i| MemoryRecord::load(Pc::new(0x400), addr(i), 6)))
+//! });
 //!
 //! let config = SystemConfig::skylake_like(1);
 //! let mut sim = System::new(config, SelectionAlgorithm::Alecto, CompositeKind::GsCsPmp);
-//! let report = sim.run(&[workload]);
+//! let report = sim.run_sources(&[trace]).expect("one source");
 //! assert!(report.cores[0].ipc > 0.0);
 //! ```
 

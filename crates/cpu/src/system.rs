@@ -10,12 +10,13 @@
 //! Each core pulls its records on the simulating thread, in fixed batches of
 //! [`DEFAULT_BATCH_RECORDS`] flattened back into one record stream, and the
 //! serial min-time merge in `System::drive` decides the order they are
-//! consumed in. Production never reorders the merge, so a streamed run and a
-//! run over the materialised workloads yield byte-identical reports.
+//! consumed in. Production never reorders the merge, so a generated trace
+//! and the same records replayed from memory or from an `.altr` file yield
+//! byte-identical reports.
 
 use std::fmt;
 
-use alecto_types::{MemoryRecord, TraceSource, Workload};
+use alecto_types::{MemoryRecord, TraceSource};
 use memsys::Hierarchy;
 use prefetch::CompositeKind;
 
@@ -85,30 +86,11 @@ impl System {
         self.algorithm
     }
 
-    /// Runs the system to completion over one workload per core and returns
-    /// the report. Workloads are assigned to cores in order; if fewer
-    /// workloads than cores are provided, the assignment wraps around
-    /// (homogeneous mixes simply pass a single workload).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workloads` is empty.
-    pub fn run(&mut self, workloads: &[Workload]) -> SystemReport {
-        assert!(!workloads.is_empty(), "at least one workload is required");
-        let names: Vec<&str> =
-            (0..self.cores.len()).map(|i| workloads[i % workloads.len()].name.as_str()).collect();
-        let streams: Vec<RecordStream<'_>> = (0..self.cores.len())
-            .map(|i| {
-                Box::new(workloads[i % workloads.len()].records.iter().copied()) as RecordStream<'_>
-            })
-            .collect();
-        self.drive(&names, streams)
-    }
-
-    /// Streaming counterpart of [`System::run`]: one lazy [`TraceSource`]
-    /// per core (wrapping around like `run`), generating records on demand —
-    /// O(1) trace memory however long the run. Produces exactly the report
-    /// `run` would produce over the materialised workloads.
+    /// Runs the system to completion over one [`TraceSource`] per core and
+    /// returns the report. Sources are assigned to cores in order; if fewer
+    /// sources than cores are provided, the assignment wraps around
+    /// (homogeneous mixes simply pass a single source). Records are generated
+    /// on demand, so trace memory stays bounded however long the run.
     ///
     /// # Errors
     ///
@@ -121,10 +103,10 @@ impl System {
             (0..self.cores.len()).map(|i| sources[i % sources.len()].name()).collect();
         // Each core replays its own iterator, even when several cores share
         // one source (homogeneous mixes).
-        let streams: Vec<RecordStream<'_>> = (0..self.cores.len())
+        let streams: Vec<RecordStream> = (0..self.cores.len())
             .map(|i| {
                 Box::new(sources[i % sources.len()].record_batches(DEFAULT_BATCH_RECORDS).flatten())
-                    as RecordStream<'_>
+                    as RecordStream
             })
             .collect();
         Ok(self.drive(&names, streams))
@@ -132,9 +114,10 @@ impl System {
 
     /// Advances the core with the smallest local time that still has trace
     /// left, so cores interleave their accesses to the shared levels in
-    /// approximate timestamp order. Only one record per core is ever held in
-    /// memory — the whole point of the streaming data path.
-    fn drive(&mut self, names: &[&str], mut streams: Vec<RecordStream<'_>>) -> SystemReport {
+    /// approximate timestamp order. At most one batch of up to
+    /// [`DEFAULT_BATCH_RECORDS`] (4096) records per core is held in memory,
+    /// however long the trace.
+    fn drive(&mut self, names: &[&str], mut streams: Vec<RecordStream>) -> SystemReport {
         // Single-core fast path: with one stream the min-time merge always
         // selects core 0, so step straight through the records and skip the
         // per-record scan and pending-slot juggling entirely. Byte-identical
@@ -192,9 +175,9 @@ impl System {
     }
 }
 
-/// One core's record feed during a run (borrowed from the workload slice or
-/// minted by a [`TraceSource`] factory).
-type RecordStream<'a> = Box<dyn Iterator<Item = MemoryRecord> + 'a>;
+/// One core's record feed during a run: its [`TraceSource`]'s batches,
+/// flattened.
+type RecordStream = Box<dyn Iterator<Item = MemoryRecord>>;
 
 // The parallel experiment engine builds a `System` from a shared
 // `&SystemConfig` on a worker thread and sends the `SystemReport` back, so
@@ -209,23 +192,22 @@ const _: () = {
     assert_sync::<SystemConfig>();
     assert_send::<SystemReport>();
     assert_sync::<SystemReport>();
-    assert_send::<Workload>();
-    assert_sync::<Workload>();
     assert_send::<TraceSource>();
     assert_sync::<TraceSource>();
 };
 
 /// Convenience helper: run `algorithm` on a single-core system over one
-/// workload and return the report. Used heavily by the harness and tests.
+/// trace and return the report. Used heavily by the harness and tests.
+/// Infallible: it always passes exactly one source.
 #[must_use]
 pub fn run_single_core(
     config: SystemConfig,
     algorithm: SelectionAlgorithm,
     composite: CompositeKind,
-    workload: &Workload,
+    source: &TraceSource,
 ) -> SystemReport {
     let mut system = System::new(config, algorithm, composite);
-    system.run(std::slice::from_ref(workload))
+    system.run_sources(std::slice::from_ref(source)).expect("exactly one source")
 }
 
 #[cfg(test)]
@@ -233,11 +215,19 @@ mod tests {
     use super::*;
     use alecto_types::{Addr, MemoryRecord, Pc};
 
-    fn stream_workload(n: u64, name: &str) -> Workload {
-        let records = (0..n)
-            .map(|i| MemoryRecord::load(Pc::new(0x400), Addr::new(0x40_0000 + i * 64), 6))
-            .collect();
-        Workload::new(name, records, true)
+    fn stream_source(n: u64, name: &str) -> TraceSource {
+        TraceSource::new(name, true, usize::try_from(n).unwrap(), move || {
+            Box::new(
+                (0..n)
+                    .map(|i| MemoryRecord::load(Pc::new(0x400), Addr::new(0x40_0000 + i * 64), 6)),
+            )
+        })
+    }
+
+    fn run(cores: usize, algorithm: SelectionAlgorithm, sources: &[TraceSource]) -> SystemReport {
+        let mut system =
+            System::new(SystemConfig::skylake_like(cores), algorithm, CompositeKind::GsCsPmp);
+        system.run_sources(sources).expect("non-empty sources")
     }
 
     #[test]
@@ -246,7 +236,7 @@ mod tests {
             SystemConfig::skylake_like(1),
             SelectionAlgorithm::Alecto,
             CompositeKind::GsCsPmp,
-            &stream_workload(3_000, "stream"),
+            &stream_source(3_000, "stream"),
         );
         assert_eq!(report.cores.len(), 1);
         assert_eq!(report.selector, "Alecto");
@@ -257,12 +247,7 @@ mod tests {
 
     #[test]
     fn eight_core_homogeneous_run() {
-        let mut system = System::new(
-            SystemConfig::skylake_like(8),
-            SelectionAlgorithm::Ipcp,
-            CompositeKind::GsCsPmp,
-        );
-        let report = system.run(&[stream_workload(800, "stream")]);
+        let report = run(8, SelectionAlgorithm::Ipcp, &[stream_source(800, "stream")]);
         assert_eq!(report.cores.len(), 8);
         assert!(report.cores.iter().all(|c| c.instructions > 0));
         assert!(report.geomean_ipc().unwrap() > 0.0);
@@ -273,7 +258,8 @@ mod tests {
         let config =
             SystemConfig::skylake_like(2).with_core_model(crate::config::CoreModelKind::OutOfOrder);
         let mut system = System::new(config, SelectionAlgorithm::Alecto, CompositeKind::GsCsPmp);
-        let report = system.run(&[stream_workload(1_200, "stream")]);
+        let report =
+            system.run_sources(&[stream_source(1_200, "stream")]).expect("non-empty sources");
         assert_eq!(report.cores.len(), 2);
         for core in &report.cores {
             assert!(core.ipc > 0.0 && core.ipc.is_finite());
@@ -286,14 +272,8 @@ mod tests {
 
     #[test]
     fn heterogeneous_assignment_wraps_workloads() {
-        let mut system = System::new(
-            SystemConfig::skylake_like(4),
-            SelectionAlgorithm::NoPrefetching,
-            CompositeKind::GsCsPmp,
-        );
-        let a = stream_workload(500, "a");
-        let b = stream_workload(700, "b");
-        let report = system.run(&[a, b]);
+        let sources = [stream_source(500, "a"), stream_source(700, "b")];
+        let report = run(4, SelectionAlgorithm::NoPrefetching, &sources);
         assert_eq!(report.cores[0].workload, "a");
         assert_eq!(report.cores[1].workload, "b");
         assert_eq!(report.cores[2].workload, "a");
@@ -315,7 +295,7 @@ mod tests {
                     )
                 })
                 .collect();
-            Workload::new(format!("mem{core}"), records, true)
+            TraceSource::from_records(format!("mem{core}"), true, records)
         };
         let single = run_single_core(
             SystemConfig::skylake_like(1),
@@ -323,13 +303,8 @@ mod tests {
             CompositeKind::GsCsPmp,
             &make(0),
         );
-        let mut multi = System::new(
-            SystemConfig::skylake_like(8),
-            SelectionAlgorithm::NoPrefetching,
-            CompositeKind::GsCsPmp,
-        );
-        let copies: Vec<Workload> = (0..8).map(make).collect();
-        let multi_report = multi.run(&copies);
+        let copies: Vec<TraceSource> = (0..8).map(make).collect();
+        let multi_report = run(8, SelectionAlgorithm::NoPrefetching, &copies);
         let avg_multi: f64 =
             multi_report.cores.iter().map(|c| c.ipc).sum::<f64>() / multi_report.cores.len() as f64;
         assert!(
@@ -341,33 +316,18 @@ mod tests {
 
     #[test]
     fn streamed_run_matches_materialised_run() {
-        // The same trace fed lazily (TraceSource) and eagerly (Workload)
-        // must produce byte-identical reports — single and multi core, with
-        // wrap-around assignment sharing one source between cores.
-        let mk_source =
-            |n: u64, name: &'static str| {
-                TraceSource::new(name, true, usize::try_from(n).unwrap(), move || {
-                    Box::new((0..n).map(|i| {
-                        MemoryRecord::load(Pc::new(0x400), Addr::new(0x40_0000 + i * 64), 6)
-                    }))
-                })
-            };
+        // The same trace fed by a generator and from an in-memory record
+        // vector must produce byte-identical reports — single and multi
+        // core, with wrap-around assignment sharing one source between cores.
         for cores in [1usize, 4] {
-            let sources = [mk_source(900, "s"), mk_source(500, "t")];
-            let workloads: Vec<Workload> = sources.iter().map(TraceSource::collect).collect();
-            let mut eager = System::new(
-                SystemConfig::skylake_like(cores),
-                SelectionAlgorithm::Alecto,
-                CompositeKind::GsCsPmp,
-            );
-            let mut lazy = System::new(
-                SystemConfig::skylake_like(cores),
-                SelectionAlgorithm::Alecto,
-                CompositeKind::GsCsPmp,
-            );
-            let a = eager.run(&workloads);
-            let b = lazy.run_sources(&sources).expect("non-empty sources");
-            assert_eq!(a, b, "streamed vs collected reports diverged at {cores} cores");
+            let generated = [stream_source(900, "s"), stream_source(500, "t")];
+            let materialised: Vec<TraceSource> = generated
+                .iter()
+                .map(|s| TraceSource::from_records(s.name(), true, s.records().collect()))
+                .collect();
+            let a = run(cores, SelectionAlgorithm::Alecto, &generated);
+            let b = run(cores, SelectionAlgorithm::Alecto, &materialised);
+            assert_eq!(a, b, "generated vs materialised reports diverged at {cores} cores");
         }
     }
 
@@ -384,16 +344,5 @@ mod tests {
             err.to_string().contains("at least one workload"),
             "error message should explain the validation failure"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one workload")]
-    fn empty_workloads_panics() {
-        let mut system = System::new(
-            SystemConfig::skylake_like(1),
-            SelectionAlgorithm::Alecto,
-            CompositeKind::GsCsPmp,
-        );
-        let _ = system.run(&[]);
     }
 }

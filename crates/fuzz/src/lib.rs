@@ -10,7 +10,7 @@
 //!   machine's fetch width;
 //! * **determinism** — the cell reports byte-identical results when its
 //!   scenario is round-tripped through an in-memory `.altr` trace and driven
-//!   as a materialised workload;
+//!   again from the decoded records;
 //! * **pathology** — the paper's adaptive selector does not lose to the best
 //!   *static* prefetcher stack by more than a threshold.
 //!

@@ -7,7 +7,7 @@
 
 use std::io::{self, Cursor};
 
-use alecto_types::{TraceSource, Workload};
+use alecto_types::TraceSource;
 use cpu::{CompositeKind, SelectionAlgorithm, System, SystemConfig, SystemReport};
 use machine::MachineSpec;
 
@@ -22,9 +22,9 @@ pub enum OracleKind {
     /// machine's fetch width.
     Sanity,
     /// The cell must report byte-identical results when its scenario is
-    /// encoded to an in-memory `.altr` trace, decoded back and driven as a
-    /// materialised workload: the codec and the record-production path must
-    /// not move a byte.
+    /// encoded to an in-memory `.altr` trace, decoded back and driven again
+    /// from the decoded records: the codec and the record-production path
+    /// must not move a byte.
     Determinism,
     /// The adaptive selector must not lose to the best *static* prefetcher
     /// stack by more than the panel's threshold.
@@ -117,12 +117,12 @@ pub fn run_cell(
 }
 
 /// `source` encoded to an in-memory `.altr` trace and decoded back into a
-/// materialised workload.
+/// source over the decoded records.
 ///
 /// # Errors
 ///
 /// Propagates codec errors (in memory, only a name over 255 bytes).
-fn altr_round_trip(source: &TraceSource) -> io::Result<Workload> {
+fn altr_round_trip_source(source: &TraceSource) -> io::Result<TraceSource> {
     let mut writer = traceio::TraceWriter::new(
         Cursor::new(Vec::new()),
         source.name(),
@@ -132,7 +132,7 @@ fn altr_round_trip(source: &TraceSource) -> io::Result<Workload> {
     writer.write_all(source.records())?;
     let (_, sink) = writer.finish_into_inner()?;
     let (header, records) = traceio::decode_document(&sink.into_inner())?;
-    Ok(Workload::new(header.name, records, header.memory_intensive))
+    Ok(TraceSource::from_records(header.name, header.memory_intensive, records))
 }
 
 /// FNV-1a64 digest of a report's full `Debug` rendering — the identity the
@@ -165,18 +165,13 @@ pub fn evaluate(spec: &MachineSpec, source: &TraceSource, panel: &OraclePanel) -
     }
 
     if panel.enabled(OracleKind::Determinism) {
-        // Same cell, replayed from the scenario's `.altr` encoding through
-        // the eager `System::run` path: a recorded repro must reproduce the
-        // streamed run exactly, so any field-level difference is a finding.
-        let detail = match altr_round_trip(source) {
+        // Same cell, replayed from the records the scenario's `.altr`
+        // encoding decodes to: a recorded repro must reproduce the generated
+        // run exactly, so any field-level difference is a finding.
+        let detail = match altr_round_trip_source(source) {
             Err(err) => Some(format!("scenario does not round-trip through .altr: {err}")),
-            Ok(workload) => {
-                let mut system = System::new(
-                    SystemConfig::from_machine(spec),
-                    SelectionAlgorithm::Alecto,
-                    composite,
-                );
-                let replayed = system.run(std::slice::from_ref(&workload));
+            Ok(decoded) => {
+                let replayed = run_cell(spec, &decoded, SelectionAlgorithm::Alecto, composite);
                 (replayed != subject).then(|| {
                     format!(
                         "report diverges after an .altr round trip: geomean IPC {:?} (streamed) vs {:?} (replayed)",

@@ -87,12 +87,12 @@ mod tests {
 
     #[test]
     fn energy_scales_with_activity() {
-        let w = traces::spec06::workload("lbm", 3_000);
+        let w = traces::spec06::source("lbm", 3_000);
         let small = run_single_core(
             SystemConfig::skylake_like(1),
             SelectionAlgorithm::Ipcp,
             CompositeKind::GsCsPmp,
-            &traces::spec06::workload("lbm", 1_000),
+            &traces::spec06::source("lbm", 1_000),
         );
         let big = run_single_core(
             SystemConfig::skylake_like(1),
@@ -110,7 +110,7 @@ mod tests {
 
     #[test]
     fn dram_dominates_hierarchy_energy_for_miss_heavy_runs() {
-        let w = traces::spec06::workload("mcf", 2_000);
+        let w = traces::spec06::source("mcf", 2_000);
         let r = run_single_core(
             SystemConfig::skylake_like(1),
             SelectionAlgorithm::NoPrefetching,

@@ -5,7 +5,7 @@
 //! it and EXPERIMENTS.md can record paper-vs-measured values.
 
 use alecto::{storage_breakdown, AlectoConfig};
-use alecto_types::TraceSource;
+use alecto_types::{MemoryRecord, TraceSource};
 use cpu::{CompositeKind, SelectionAlgorithm, SystemConfig};
 use memsys::DramKind;
 use prefetch::build_composite;
@@ -193,10 +193,11 @@ pub fn fig1(scale: &RunScale) -> Experiment {
 /// deltas of the two dominant PCs over a window of the trace.
 #[must_use]
 pub fn fig2(scale: &RunScale) -> Experiment {
-    let w = traces::spec06::workload("GemsFDTD", scale.accesses.min(4_000));
+    let records: Vec<MemoryRecord> =
+        traces::spec06::source("GemsFDTD", scale.accesses.min(4_000)).records().collect();
     // The two busiest PCs stand in for 0x30b00 (spatial) and 0x30aca (stream).
     let mut counts: Vec<(u64, usize)> = Vec::new();
-    for r in &w.records {
+    for r in &records {
         match counts.iter_mut().find(|(pc, _)| *pc == r.pc.raw()) {
             Some((_, c)) => *c += 1,
             None => counts.push((r.pc.raw(), 1)),
@@ -206,8 +207,7 @@ pub fn fig2(scale: &RunScale) -> Experiment {
     let mut table =
         Table::new(vec!["PC", "accesses", "distinct deltas", "dominant delta", "classification"]);
     for &(pc, n) in counts.iter().take(4) {
-        let lines: Vec<i64> = w
-            .records
+        let lines: Vec<i64> = records
             .iter()
             .filter(|r| r.pc.raw() == pc)
             .map(|r| r.addr.line().raw() as i64)

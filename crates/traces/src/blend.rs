@@ -1,11 +1,11 @@
 //! Benchmark blends: a declarative description of how much of each access
 //! pattern a benchmark exhibits, turned into a concrete trace.
 
-use alecto_types::{TraceSource, Workload};
+use alecto_types::TraceSource;
 
 use crate::patterns::{
-    delta_chain, interleave_weighted, interleave_weighted_iter, looping_stream, phase_shift,
-    pointer_chase, random_noise, set_aliasing, spatial_pages, stream, strided, zipfian, Component,
+    delta_chain, interleave_weighted, looping_stream, phase_shift, pointer_chase, random_noise,
+    set_aliasing, spatial_pages, stream, strided, zipfian, Component,
 };
 
 /// Pattern mixture and intensity of one benchmark.
@@ -73,23 +73,11 @@ impl Blend {
         BlendBuilder::new(name)
     }
 
-    /// Materialises the blend into a trace of `accesses` memory accesses.
-    ///
-    /// This is the *legacy eager* path (O(accesses) memory); long-horizon
-    /// runs should prefer [`Blend::source`], which generates the identical
-    /// records lazily.
-    #[must_use]
-    pub fn build(&self, accesses: usize) -> Workload {
-        let (components, weights) = self.components();
-        let records = interleave_weighted(components, &weights, accesses, self.seed);
-        Workload::new(self.name.clone(), records, self.memory_intensive)
-    }
-
     /// Turns the blend into a lazy, restartable [`TraceSource`] producing
     /// `accesses` records per replay in O(1) memory (with respect to the
-    /// trace length). Record-for-record identical to [`Blend::build`]:
-    /// components are rebuilt from the blend description on every replay and
-    /// interleaved by the same seeded draw sequence.
+    /// trace length): components are rebuilt from the blend description on
+    /// every replay and interleaved by the same seeded draw sequence, so
+    /// every replay yields the identical records.
     #[must_use]
     pub fn source(&self, accesses: usize) -> TraceSource {
         let blend = self.clone();
@@ -100,7 +88,7 @@ impl Blend {
         let identity = format!("{self:?}");
         TraceSource::new(self.name.clone(), self.memory_intensive, accesses, move || {
             let (components, weights) = blend.components();
-            Box::new(interleave_weighted_iter(components, weights, blend.seed))
+            Box::new(interleave_weighted(components, weights, blend.seed))
         })
         .with_content_tag(&identity)
     }
@@ -447,38 +435,46 @@ impl BlendBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alecto_types::Pc;
+    use alecto_types::{MemoryRecord, Pc};
+
+    fn records(blend: &Blend, accesses: usize) -> Vec<MemoryRecord> {
+        blend.source(accesses).records().collect()
+    }
 
     #[test]
     fn builder_produces_named_workload() {
         let blend = Blend::builder("toy").memory_intensive().stream(1.0).gap(10).finish();
-        let w = blend.build(1_000);
-        assert_eq!(w.name, "toy");
-        assert!(w.memory_intensive);
-        assert_eq!(w.memory_accesses(), 1_000);
+        let s = blend.source(1_000);
+        assert_eq!(s.name(), "toy");
+        assert!(s.memory_intensive());
+        assert_eq!(s.records().count(), 1_000);
         // gap 10 → roughly 11 instructions per access.
-        assert!(w.instructions() >= 10_000);
+        assert!(s.records().map(|r| r.instructions()).sum::<u64>() >= 10_000);
     }
 
     #[test]
     fn weights_steer_the_pattern_mix() {
         let blend = Blend::builder("chase-heavy").chase(0.9).stream(0.1).gap(5).finish();
-        let w = blend.build(4_000);
-        let chase_pc = w.records.iter().filter(|r| r.pc == Pc::new(0x4_5000)).count();
+        let chase_pc = records(&blend, 4_000).iter().filter(|r| r.pc == Pc::new(0x4_5000)).count();
         assert!(chase_pc > 3_000, "chase PC should dominate, got {chase_pc}");
     }
 
     #[test]
     fn different_names_get_different_seeds() {
-        let a = Blend::builder("a").noise(1.0).finish().build(200);
-        let b = Blend::builder("b").noise(1.0).finish().build(200);
-        assert_ne!(a.records, b.records);
+        let a = records(&Blend::builder("a").noise(1.0).finish(), 200);
+        let b = records(&Blend::builder("b").noise(1.0).finish(), 200);
+        assert_ne!(a, b);
     }
 
     #[test]
     fn same_blend_is_reproducible() {
-        let mk = || Blend::builder("repro").stream(0.5).chase(0.5).finish().build(300);
-        assert_eq!(mk(), mk());
+        let mk = || Blend::builder("repro").stream(0.5).chase(0.5).finish();
+        assert_eq!(records(&mk(), 300), records(&mk(), 300));
+        // Replays of one source are restartable and identical.
+        let source = mk().source(300);
+        let first: Vec<_> = source.records().collect();
+        let second: Vec<_> = source.records().collect();
+        assert_eq!(first, second);
     }
 
     #[test]
@@ -492,47 +488,31 @@ mod tests {
         // Generation order cannot matter: building B before A yields the
         // same records as building A before B.
         let mk = |name: &str, job: u64| {
-            Blend::builder(name).noise(1.0).seed(derive_seed(name, job)).finish().build(200)
+            records(&Blend::builder(name).noise(1.0).seed(derive_seed(name, job)).finish(), 200)
         };
         let (a1, b1) = (mk("a", 3), mk("b", 3));
         let (b2, a2) = (mk("b", 3), mk("a", 3));
         assert_eq!(a1, a2);
         assert_eq!(b1, b2);
-        assert_ne!(a1.records, b1.records);
+        assert_ne!(a1, b1);
     }
 
     #[test]
     #[should_panic(expected = "at least one component")]
     fn empty_blend_panics() {
-        let _ = Blend::builder("empty").finish().build(10);
-    }
-
-    #[test]
-    fn source_streams_the_same_records_as_build() {
-        let blend =
-            Blend::builder("stream-eq").stream(0.3).chase(0.3).zipf(0.2).noise(0.2).gap(7).finish();
-        let eager = blend.build(1_200);
-        let source = blend.source(1_200);
-        assert_eq!(source.name(), "stream-eq");
-        assert_eq!(source.collect(), eager);
-        // Replays are restartable and identical.
-        let first: Vec<_> = source.records().collect();
-        let second: Vec<_> = source.records().collect();
-        assert_eq!(first, second);
+        let _ = Blend::builder("empty").finish().source(10).records();
     }
 
     #[test]
     fn zipf_weight_steers_the_mix() {
         let blend = Blend::builder("webby").zipf(0.9).stream(0.1).gap(4).finish();
-        let w = blend.build(3_000);
-        let zipf_pc = w.records.iter().filter(|r| r.pc == Pc::new(0x4_8000)).count();
+        let zipf_pc = records(&blend, 3_000).iter().filter(|r| r.pc == Pc::new(0x4_8000)).count();
         assert!(zipf_pc > 2_300, "zipf PC should dominate, got {zipf_pc}");
     }
 
     #[test]
     fn zero_accesses_build_an_empty_trace() {
         let blend = Blend::builder("empty-ok").stream(1.0).finish();
-        assert_eq!(blend.build(0).records.len(), 0);
         assert_eq!(blend.source(0).records().count(), 0);
     }
 }

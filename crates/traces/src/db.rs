@@ -8,7 +8,7 @@
 //! pages), so the family spans the whole selection difficulty range inside
 //! single queries.
 
-use alecto_types::{TraceSource, Workload};
+use alecto_types::TraceSource;
 
 use crate::blend::Blend;
 
@@ -53,18 +53,8 @@ pub fn blend(name: &str) -> Blend {
     }
 }
 
-/// Generates the named database workload (eager, O(accesses) memory).
-///
-/// # Panics
-///
-/// Panics if `name` is unknown.
-#[must_use]
-pub fn workload(name: &str, accesses: usize) -> Workload {
-    blend(name).build(accesses)
-}
-
-/// Streaming variant of [`workload`]: a lazy [`TraceSource`] producing the
-/// identical records in O(1) memory.
+/// The named database workload as a lazy [`TraceSource`] of `accesses`
+/// records, generated on demand in O(1) memory.
 ///
 /// # Panics
 ///
@@ -81,9 +71,7 @@ mod tests {
     #[test]
     fn all_benchmarks_have_blends() {
         for name in BENCHMARKS {
-            let w = workload(name, 130);
-            assert_eq!(w.memory_accesses(), 130);
-            assert_eq!(source(name, 130).collect(), w);
+            assert_eq!(source(name, 130).records().count(), 130);
         }
     }
 
@@ -91,16 +79,15 @@ mod tests {
     fn scan_streams_while_join_probes() {
         // The scan's dominant pattern is sequential; the hash join's is not:
         // count how many consecutive-record line deltas are exactly +1.
-        let sequential = |w: &Workload| {
-            w.records
+        let sequential = |name| {
+            let records: Vec<_> = source(name, 2_000).records().collect();
+            records
                 .windows(2)
                 .filter(|p| p[1].addr.line().delta_from(p[0].addr.line()) == 1)
                 .count()
         };
-        let scan = workload("seq-scan", 2_000);
-        let join = workload("hash-join", 2_000);
         assert!(
-            sequential(&scan) > 2 * sequential(&join),
+            sequential("seq-scan") > 2 * sequential("hash-join"),
             "a table scan must look far more sequential than a hash-join probe stream"
         );
     }
@@ -108,6 +95,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown database benchmark")]
     fn unknown_name_panics() {
-        let _ = workload("sort-merge", 10);
+        let _ = source("sort-merge", 10);
     }
 }

@@ -9,7 +9,7 @@
 //! with the workloads that stress Alecto's demand request allocation the
 //! hardest.
 
-use alecto_types::{TraceSource, Workload};
+use alecto_types::TraceSource;
 
 use crate::blend::Blend;
 
@@ -65,18 +65,8 @@ pub fn blend(name: &str) -> Blend {
     }
 }
 
-/// Generates the named pointer-chasing workload (eager, O(accesses) memory).
-///
-/// # Panics
-///
-/// Panics if `name` is unknown.
-#[must_use]
-pub fn workload(name: &str, accesses: usize) -> Workload {
-    blend(name).build(accesses)
-}
-
-/// Streaming variant of [`workload`]: a lazy [`TraceSource`] producing the
-/// identical records in O(1) memory.
+/// The named pointer-chasing workload as a lazy [`TraceSource`] of `accesses`
+/// records, generated on demand in O(1) memory.
 ///
 /// # Panics
 ///
@@ -93,23 +83,21 @@ mod tests {
     #[test]
     fn all_benchmarks_have_blends() {
         for name in BENCHMARKS {
-            let w = workload(name, 120);
-            assert_eq!(w.memory_accesses(), 120);
-            assert_eq!(source(name, 120).collect(), w);
+            assert_eq!(source(name, 120).records().count(), 120);
         }
     }
 
     #[test]
     fn chasing_dominates_the_list_walk() {
-        let w = workload("linked-list", 2_000);
-        let dependent = w.records.iter().filter(|r| r.dependent).count();
+        let s = source("linked-list", 2_000);
+        let dependent = s.records().filter(|r| r.dependent).count();
         assert!(dependent > 1_400, "most accesses should be dependent loads, got {dependent}");
-        assert!(w.memory_intensive);
+        assert!(s.memory_intensive());
     }
 
     #[test]
     #[should_panic(expected = "unknown pointer-chase benchmark")]
     fn unknown_name_panics() {
-        let _ = workload("btree", 10);
+        let _ = source("btree", 10);
     }
 }

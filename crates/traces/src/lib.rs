@@ -16,9 +16,9 @@
 //! # Example
 //!
 //! ```
-//! let w = traces::spec06::workload("GemsFDTD", 5_000);
-//! assert_eq!(w.memory_accesses(), 5_000);
-//! assert!(w.memory_intensive);
+//! let trace = traces::spec06::source("GemsFDTD", 5_000);
+//! assert_eq!(trace.records().count(), 5_000);
+//! assert!(trace.memory_intensive());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -36,11 +36,11 @@ pub mod web;
 
 pub use blend::{derive_seed, Blend, BlendBuilder};
 pub use patterns::{
-    delta_chain, interleave_weighted, interleave_weighted_iter, looping_stream, phase_shift,
-    pointer_chase, random_noise, set_aliasing, spatial_pages, stream, strided, zipfian,
+    delta_chain, interleave_weighted, looping_stream, phase_shift, pointer_chase, random_noise,
+    set_aliasing, spatial_pages, stream, strided, zipfian,
 };
 
-use alecto_types::{TraceSource, Workload};
+use alecto_types::TraceSource;
 
 /// The registered benchmark suites: the four the paper evaluates, the three
 /// production-scenario families (pointer chasing, Zipfian web serving,
@@ -125,29 +125,8 @@ impl Suite {
         }
     }
 
-    /// Generates the named workload with `accesses` memory accesses (eager,
-    /// O(accesses) memory).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the benchmark name is not part of the suite, or (for
-    /// [`Suite::File`]) if the trace file cannot be opened.
-    #[must_use]
-    pub fn workload(&self, name: &str, accesses: usize) -> Workload {
-        match self {
-            Suite::Spec06 => spec06::workload(name, accesses),
-            Suite::Spec17 => spec17::workload(name, accesses),
-            Suite::Parsec => parsec::workload(name, accesses),
-            Suite::Ligra => ligra::workload(name, accesses),
-            Suite::PointerChase => gc::workload(name, accesses),
-            Suite::WebServe => web::workload(name, accesses),
-            Suite::Database => db::workload(name, accesses),
-            Suite::File => self.source(name, accesses).collect(),
-        }
-    }
-
-    /// Streaming variant of [`Suite::workload`]: a lazy [`TraceSource`]
-    /// producing the identical records in O(1) memory.
+    /// The named workload as a lazy [`TraceSource`] of `accesses` records,
+    /// generated (or decoded) on demand in O(1) memory.
     ///
     /// For [`Suite::File`], `name` is the full `file:<path>` spec and
     /// `accesses` caps the replay at `min(accesses, recorded records)` — so
@@ -179,12 +158,6 @@ impl Suite {
         }
     }
 
-    /// Generates every workload of the suite (eager).
-    #[must_use]
-    pub fn all_workloads(&self, accesses: usize) -> Vec<Workload> {
-        self.benchmarks().iter().map(|b| self.workload(b, accesses)).collect()
-    }
-
     /// Lazy sources for every benchmark of the suite.
     #[must_use]
     pub fn all_sources(&self, accesses: usize) -> Vec<TraceSource> {
@@ -195,6 +168,11 @@ impl Suite {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alecto_types::MemoryRecord;
+
+    fn records(source: &TraceSource) -> Vec<MemoryRecord> {
+        source.records().collect()
+    }
 
     #[test]
     fn suites_enumerate_benchmarks() {
@@ -212,9 +190,11 @@ mod tests {
     fn every_benchmark_generates_a_trace() {
         for suite in Suite::ALL {
             for name in suite.benchmarks() {
-                let w = suite.workload(name, 500);
-                assert_eq!(w.memory_accesses(), 500, "{name}");
-                assert!(w.instructions() >= 500, "{name}");
+                let s = suite.source(name, 500);
+                assert_eq!(s.name(), name);
+                assert_eq!(s.memory_accesses(), 500, "{name}");
+                assert_eq!(s.records().count(), 500, "{name}");
+                assert!(s.records().map(|r| r.instructions()).sum::<u64>() >= 500, "{name}");
             }
         }
     }
@@ -230,16 +210,6 @@ mod tests {
         }
         assert_eq!(Suite::of("not-a-benchmark"), None);
         assert_eq!(Suite::WebServe.name(), "web-serve");
-    }
-
-    #[test]
-    fn sources_match_workloads_across_the_registry() {
-        for suite in Suite::ALL {
-            let name = suite.benchmarks()[0];
-            let s = suite.source(name, 200);
-            assert_eq!(s.collect(), suite.workload(name, 200), "{name}");
-        }
-        assert_eq!(Suite::Database.all_sources(10).len(), Suite::Database.benchmarks().len());
     }
 
     #[test]
@@ -259,24 +229,27 @@ mod tests {
         // Replay is record-identical to the generator, keeps the recorded
         // name and intensity, and honours the access cap.
         let replayed = Suite::File.source(&spec, 120);
-        assert_eq!(replayed.collect(), Suite::Spec06.workload("mcf", 120));
+        assert_eq!(replayed.name(), "mcf");
+        assert_eq!(replayed.memory_intensive(), source.memory_intensive());
+        assert_eq!(records(&replayed), records(&source));
         let capped = Suite::File.source(&spec, 10);
         assert_eq!(capped.memory_accesses(), 10);
-        assert_eq!(capped.collect().records, Suite::Spec06.workload("mcf", 10).records);
-        assert_eq!(Suite::File.workload(&spec, 120), Suite::Spec06.workload("mcf", 120));
+        assert_eq!(records(&capped), records(&Suite::Spec06.source("mcf", 10)));
         std::fs::remove_file(&path).expect("cleanup");
     }
 
     #[test]
     fn generation_is_deterministic() {
-        let a = Suite::Spec06.workload("mcf", 1_000);
-        let b = Suite::Spec06.workload("mcf", 1_000);
-        assert_eq!(a, b);
+        let a = Suite::Spec06.source("mcf", 1_000);
+        let b = Suite::Spec06.source("mcf", 1_000);
+        assert_eq!(a.fingerprint(), b.fingerprint());
+        assert_eq!(records(&a), records(&b));
     }
 
     #[test]
-    fn all_workloads_helper() {
-        let all = Suite::Ligra.all_workloads(100);
+    fn all_sources_helper() {
+        let all = Suite::Ligra.all_sources(100);
         assert_eq!(all.len(), Suite::Ligra.benchmarks().len());
+        assert_eq!(Suite::Database.all_sources(10).len(), Suite::Database.benchmarks().len());
     }
 }

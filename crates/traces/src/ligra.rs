@@ -9,7 +9,7 @@
 
 use std::collections::VecDeque;
 
-use alecto_types::{Addr, MemoryRecord, Pc, TraceSource, Workload};
+use alecto_types::{Addr, MemoryRecord, Pc, TraceSource};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -132,21 +132,10 @@ fn static_name(name: &str) -> &'static str {
         .unwrap_or_else(|| panic!("unknown Ligra kernel: {name}"))
 }
 
-/// Generates the named Ligra-like workload with `accesses` memory accesses
-/// (eager, O(accesses) memory).
-///
-/// # Panics
-///
-/// Panics if `name` is not one of [`BENCHMARKS`].
-#[must_use]
-pub fn workload(name: &str, accesses: usize) -> Workload {
-    let name = static_name(name);
-    Workload::new(name, record_stream(name).take(accesses).collect(), true)
-}
-
-/// Streaming variant of [`workload`]: a lazy [`TraceSource`] producing the
-/// identical records in O(1) memory with respect to the trace length (the
-/// synthetic rMat graph itself — a few hundred KB — is rebuilt per replay).
+/// The named Ligra-like workload as a lazy [`TraceSource`] of `accesses`
+/// records, generated on demand in O(1) memory with respect to the trace
+/// length (the synthetic rMat graph itself — a few hundred KB — is rebuilt
+/// per replay).
 ///
 /// # Panics
 ///
@@ -165,24 +154,28 @@ mod tests {
     #[test]
     fn all_kernels_generate() {
         for name in BENCHMARKS {
-            let w = workload(name, 400);
-            assert_eq!(w.memory_accesses(), 400);
-            assert!(w.memory_intensive);
+            // Cut mid-batch on purpose (batches are 1 + ~2·AVG_DEGREE records).
+            for accesses in [0usize, 7, 501] {
+                let s = source(name, accesses);
+                assert_eq!(s.memory_accesses(), accesses);
+                assert_eq!(s.records().count(), accesses, "{name}@{accesses}");
+                assert!(s.memory_intensive());
+            }
         }
     }
 
     #[test]
     fn mixes_streaming_and_irregular_pcs() {
-        let w = workload("BFS", 3_000);
-        let pcs: HashSet<u64> = w.records.iter().map(|r| r.pc.raw()).collect();
+        let records: Vec<MemoryRecord> = source("BFS", 3_000).records().collect();
+        let pcs: HashSet<u64> = records.iter().map(|r| r.pc.raw()).collect();
         assert!(pcs.len() >= 3, "BFS should exercise several distinct PCs");
         // The edges PC is a pure stream: consecutive accesses differ by 4 bytes.
         let edge_addrs: Vec<u64> =
-            w.records.iter().filter(|r| r.pc.raw() == 0x7_0010).map(|r| r.addr.raw()).collect();
+            records.iter().filter(|r| r.pc.raw() == 0x7_0010).map(|r| r.addr.raw()).collect();
         assert!(edge_addrs.windows(2).all(|w| w[1] - w[0] == 4));
         // The vertex PC is irregular but recurring (power-law reuse).
         let vertex_addrs: Vec<u64> =
-            w.records.iter().filter(|r| r.pc.raw() == 0x7_0020).map(|r| r.addr.raw()).collect();
+            records.iter().filter(|r| r.pc.raw() == 0x7_0020).map(|r| r.addr.raw()).collect();
         let distinct: HashSet<u64> = vertex_addrs.iter().copied().collect();
         assert!(distinct.len() > 50);
         assert!(distinct.len() < vertex_addrs.len(), "hub vertices must recur");
@@ -190,27 +183,14 @@ mod tests {
 
     #[test]
     fn kernels_differ_in_compute_intensity() {
-        let bfs = workload("BFS", 2_000);
-        let pr = workload("PageRank", 2_000);
-        assert!(pr.instructions() > bfs.instructions());
+        let instructions =
+            |name| source(name, 2_000).records().map(|r| r.instructions()).sum::<u64>();
+        assert!(instructions("PageRank") > instructions("BFS"));
     }
 
     #[test]
     #[should_panic(expected = "unknown Ligra kernel")]
     fn unknown_kernel_panics() {
-        let _ = workload("TriangleCount", 10);
-    }
-
-    #[test]
-    fn source_streams_what_workload_collects() {
-        for name in BENCHMARKS {
-            // Cut mid-batch on purpose (batches are 1 + ~2·AVG_DEGREE records).
-            for accesses in [0usize, 7, 501] {
-                let s = source(name, accesses);
-                assert_eq!(s.memory_accesses(), accesses);
-                assert!(s.memory_intensive());
-                assert_eq!(s.collect(), workload(name, accesses), "{name}@{accesses}");
-            }
-        }
+        let _ = source("TriangleCount", 10);
     }
 }

@@ -33,4 +33,4 @@ pub use counter::{RatioCounter, SaturatingCounter};
 pub use hash::{fnv1a_64, fold_pc, FoldedPcHasher, FNV1A_OFFSET};
 pub use request::{AccessKind, DemandAccess, FillLevel, PrefetchRequest, PrefetcherId};
 pub use stats::{geomean, harmonic_mean, weighted_geomean, Summary};
-pub use trace::{BoxedRecordIter, MemoryRecord, RecordBatches, TraceSource, Workload};
+pub use trace::{BoxedRecordIter, MemoryRecord, RecordBatches, TraceSource};

@@ -65,57 +65,21 @@ impl MemoryRecord {
     }
 }
 
-/// A named workload: a benchmark-like memory trace.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Workload {
-    /// Benchmark name (e.g. `"mcf"` or `"459.GemsFDTD"`).
-    pub name: String,
-    /// The memory access trace.
-    pub records: Vec<MemoryRecord>,
-    /// Whether the paper counts this benchmark as memory intensive (drives the
-    /// separate geomean of Figs. 8/9 and the Fig. 19/20 benchmark set).
-    pub memory_intensive: bool,
-}
-
-impl Workload {
-    /// Creates a workload.
-    #[must_use]
-    pub fn new(
-        name: impl Into<String>,
-        records: Vec<MemoryRecord>,
-        memory_intensive: bool,
-    ) -> Self {
-        Self { name: name.into(), records, memory_intensive }
-    }
-
-    /// Total instruction count represented by the trace.
-    #[must_use]
-    pub fn instructions(&self) -> u64 {
-        self.records.iter().map(MemoryRecord::instructions).sum()
-    }
-
-    /// Number of memory accesses in the trace.
-    #[must_use]
-    pub fn memory_accesses(&self) -> usize {
-        self.records.len()
-    }
-}
-
 /// A boxed, sendable record iterator — what a [`TraceSource`] factory yields.
 pub type BoxedRecordIter = Box<dyn Iterator<Item = MemoryRecord> + Send>;
 
-/// A lazily generated, restartable workload: the streaming counterpart of
-/// [`Workload`].
+/// A named, lazily generated, restartable workload trace: the simulator's
+/// one trace representation.
 ///
-/// Where a `Workload` eagerly materialises its whole trace as a
-/// `Vec<MemoryRecord>` (O(accesses) memory), a `TraceSource` holds only a
-/// *factory* that can mint fresh record iterators on demand, so a
-/// 10-million-access run costs the same memory as a 100-access one. The
-/// factory must be a pure function of the source's construction parameters:
-/// every call to [`TraceSource::records`] yields the **same** record
-/// sequence, which is what lets the parallel experiment engine hand one
-/// shared source to many simulation cells (and several cores of one cell)
-/// without coordination.
+/// A `TraceSource` holds only a *factory* that can mint fresh record
+/// iterators on demand, so a generated 10-million-access run costs the same
+/// memory as a 100-access one (a trace built with
+/// [`TraceSource::from_records`] holds its records once, shared by every
+/// replay). The factory must be a pure function of the source's
+/// construction parameters: every call to [`TraceSource::records`] yields
+/// the **same** record sequence, which is what lets the parallel experiment
+/// engine hand one shared source to many simulation cells (and several cores
+/// of one cell) without coordination.
 ///
 /// Cloning is cheap (the factory is behind an [`Arc`]).
 #[derive(Clone)]
@@ -154,14 +118,16 @@ impl TraceSource {
         Self { name, memory_intensive, accesses, fingerprint, factory: Arc::new(factory) }
     }
 
-    /// Wraps an already-materialised workload (the records are shared, not
-    /// copied, between replays). The legacy bridge for callers that still
-    /// build `Workload`s eagerly. The fingerprint covers the actual record
-    /// bytes, so two materialised workloads share a fingerprint exactly when
-    /// their traces are identical.
+    /// Wraps an in-memory record vector (shared, not copied, between
+    /// replays) — e.g. a decoded `.altr` document. The fingerprint covers
+    /// the actual record bytes, so two such sources share a fingerprint
+    /// exactly when their names, intensity flags and records are identical.
     #[must_use]
-    pub fn from_workload(workload: Workload) -> Self {
-        let Workload { name, records, memory_intensive } = workload;
+    pub fn from_records(
+        name: impl Into<String>,
+        memory_intensive: bool,
+        records: Vec<MemoryRecord>,
+    ) -> Self {
         let accesses = records.len();
         let mut content = fnv1a_64(FNV1A_OFFSET, b"records|");
         for r in &records {
@@ -216,14 +182,6 @@ impl TraceSource {
     #[must_use]
     pub fn record_batches(&self, batch: usize) -> RecordBatches {
         RecordBatches { inner: self.records(), batch: batch.max(1) }
-    }
-
-    /// Materialises the trace into a [`Workload`] (O(accesses) memory — the
-    /// legacy representation, still used by record-introspecting tests and
-    /// figures).
-    #[must_use]
-    pub fn collect(&self) -> Workload {
-        Workload::new(self.name.clone(), self.records().collect(), self.memory_intensive)
     }
 
     /// The source's content fingerprint: an FNV-1a64 digest of everything
@@ -355,18 +313,18 @@ mod tests {
 
     #[test]
     fn workload_totals() {
-        let w = Workload::new(
+        let s = TraceSource::from_records(
             "toy",
+            true,
             vec![
                 MemoryRecord::load(Pc::new(1), Addr::new(64), 4),
                 MemoryRecord::store(Pc::new(2), Addr::new(128), 5),
             ],
-            true,
         );
-        assert_eq!(w.instructions(), 11);
-        assert_eq!(w.memory_accesses(), 2);
-        assert!(w.memory_intensive);
-        assert_eq!(w.name, "toy");
+        assert_eq!(s.records().map(|r| r.instructions()).sum::<u64>(), 11);
+        assert_eq!(s.memory_accesses(), 2);
+        assert!(s.memory_intensive());
+        assert_eq!(s.name(), "toy");
     }
 
     fn counting_source(accesses: usize) -> TraceSource {
@@ -385,15 +343,15 @@ mod tests {
         let b: Vec<MemoryRecord> = s.records().collect();
         assert_eq!(a.len(), 5, "unbounded factory must be truncated");
         assert_eq!(a, b, "replays must be identical");
-        assert_eq!(s.collect().records, a);
     }
 
     #[test]
-    fn source_round_trips_through_workload() {
-        let w = counting_source(4).collect();
-        let s = TraceSource::from_workload(w.clone());
-        assert_eq!(s.collect(), w);
-        assert_eq!(s.memory_accesses(), 4);
+    fn source_round_trips_through_records() {
+        let records: Vec<MemoryRecord> = counting_source(4).records().collect();
+        let s = TraceSource::from_records("count", true, records.clone());
+        assert_eq!(s.records().collect::<Vec<_>>(), records);
+        assert_eq!(s.records().collect::<Vec<_>>(), records, "replays must be identical");
+        assert_eq!((s.name(), s.memory_intensive(), s.memory_accesses()), ("count", true, 4));
     }
 
     #[test]
@@ -479,11 +437,13 @@ mod tests {
     #[test]
     fn workload_fingerprint_tracks_record_content() {
         let mk = |gap| {
-            Workload::new("w", vec![MemoryRecord::load(Pc::new(1), Addr::new(64), gap)], false)
+            TraceSource::from_records(
+                "w",
+                false,
+                vec![MemoryRecord::load(Pc::new(1), Addr::new(64), gap)],
+            )
         };
-        let a = TraceSource::from_workload(mk(4));
-        let b = TraceSource::from_workload(mk(4));
-        let c = TraceSource::from_workload(mk(5));
+        let (a, b, c) = (mk(4), mk(4), mk(5));
         assert_eq!(a.fingerprint(), b.fingerprint(), "identical traces share identity");
         assert_ne!(a.fingerprint(), c.fingerprint(), "record content must matter");
     }

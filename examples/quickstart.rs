@@ -28,7 +28,7 @@ fn main() {
         std::process::exit(2);
     });
     println!("benchmark: {benchmark} (suite {}, {accesses} memory accesses)", suite.name());
-    let workload = suite.workload(benchmark, accesses);
+    let workload = suite.source(benchmark, accesses);
 
     // Baseline: prefetching disabled.
     let baseline = cpu::run_single_core(

@@ -12,14 +12,14 @@ use alecto_repro::prelude::*;
 fn run(
     algorithm: SelectionAlgorithm,
     composite: CompositeKind,
-    workload: &alecto_repro::types::Workload,
+    workload: &alecto_repro::types::TraceSource,
 ) -> f64 {
     cpu::run_single_core(SystemConfig::skylake_like(1), algorithm, composite, workload).cores[0].ipc
 }
 
 fn main() {
     let accesses: usize = std::env::args().nth(1).and_then(|a| a.parse().ok()).unwrap_or(40_000);
-    let workload = traces::spec06::workload("mcf", accesses);
+    let workload = traces::spec06::source("mcf", accesses);
     println!("workload: mcf-like pointer chase, {accesses} accesses\n");
 
     // Reference: each policy scheduling only the L1 composite.

@@ -5,6 +5,7 @@
 //! pure wall-clock knob and lets CI compare `BENCH_*.json` files across
 //! machines.
 
+use alecto_repro::types::TraceSource;
 use cpu::{CompositeKind, CoreModelKind, SelectionAlgorithm, SystemConfig};
 use harness::runner::{run_multicore_mix, run_single_core_suite};
 use harness::SpeedupGrid;
@@ -161,15 +162,14 @@ fn determinism_holds_below_and_above_the_multicore_derivation_floor() {
 
 #[test]
 fn streamed_suite_matches_a_materialised_rerun() {
-    // The streaming engine must reproduce what eagerly collected workloads
-    // produce: collect each source into a Workload, wrap it back into a
-    // (records-backed) source, and compare full grids.
+    // The streaming engine must reproduce what the same records produce
+    // from memory: collect each generator source's records, wrap them in a
+    // records-backed source, and compare full grids.
     let names = ["lbm", "mcf"];
-    let streamed: Vec<alecto_repro::types::TraceSource> =
-        names.iter().map(|n| traces::spec06::source(n, 600)).collect();
-    let collected: Vec<alecto_repro::types::TraceSource> = streamed
+    let streamed: Vec<TraceSource> = names.iter().map(|n| traces::spec06::source(n, 600)).collect();
+    let collected: Vec<TraceSource> = streamed
         .iter()
-        .map(|s| alecto_repro::types::TraceSource::from_workload(s.collect()))
+        .map(|s| TraceSource::from_records(s.name(), s.memory_intensive(), s.records().collect()))
         .collect();
     let algorithms = [SelectionAlgorithm::Ipcp, SelectionAlgorithm::Alecto];
     let config = SystemConfig::skylake_like(1);

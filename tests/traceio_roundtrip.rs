@@ -43,6 +43,11 @@ fn record(source: &TraceSource, tag: &str) -> (ScratchFile, TraceSource) {
     (scratch, replayed)
 }
 
+/// A source's label and records: everything a replay must preserve.
+fn contents(source: &TraceSource) -> (String, bool, Vec<alecto_repro::types::MemoryRecord>) {
+    (source.name().to_string(), source.memory_intensive(), source.records().collect())
+}
+
 /// Flattened registry: every (suite, benchmark) pair.
 fn registry() -> Vec<(Suite, &'static str)> {
     Suite::ALL.iter().flat_map(|s| s.benchmarks().into_iter().map(move |b| (*s, b))).collect()
@@ -62,7 +67,7 @@ proptest! {
         let (_scratch, replayed) = record(&source, "prop");
         prop_assert_eq!(replayed.name(), name);
         prop_assert_eq!(replayed.memory_accesses(), accesses);
-        prop_assert_eq!(replayed.collect(), suite.workload(name, accesses));
+        prop_assert_eq!(contents(&replayed), contents(&source));
     }
 }
 
@@ -74,7 +79,7 @@ fn every_registered_benchmark_round_trips_at_fixed_small_budgets() {
         for accesses in [1usize, 127] {
             let source = suite.source(name, accesses);
             let (_scratch, replayed) = record(&source, "sweep");
-            assert_eq!(replayed.collect(), suite.workload(name, accesses), "{name}@{accesses}");
+            assert_eq!(contents(&replayed), contents(&source), "{name}@{accesses}");
         }
     }
 }
@@ -150,7 +155,7 @@ fn file_scheme_sources_drop_into_multicore_runs() {
 #[test]
 fn champsim_import_round_trips_through_the_simulator() {
     // An external text trace imports to .altr and then drives the same
-    // simulation as the equivalent in-memory workload.
+    // simulation as the equivalent in-memory trace.
     let text = "# synthetic champsim-style dump\n\
                 0x400, 0x10000, L, 3\n\
                 0x400, 0x10040, L, 3\n\
@@ -162,17 +167,17 @@ fn champsim_import_round_trips_through_the_simulator() {
             .expect("import");
     assert_eq!(count, 4);
     let replayed = traceio::file_source(&scratch.0, None).expect("open");
-    let workload = replayed.collect();
-    assert_eq!(workload.name, "external");
-    assert_eq!(workload.records.len(), 4);
-    assert_eq!(workload.records[0].pc.raw(), 0x400);
-    assert_eq!(workload.records[2].addr.raw(), 0x20000);
-    assert!(workload.records[3].dependent);
+    let (name, _, records) = contents(&replayed);
+    assert_eq!(name, "external");
+    assert_eq!(records.len(), 4);
+    assert_eq!(records[0].pc.raw(), 0x400);
+    assert_eq!(records[2].addr.raw(), 0x20000);
+    assert!(records[3].dependent);
     let report = cpu::run_single_core(
         SystemConfig::skylake_like(1),
         SelectionAlgorithm::Alecto,
         CompositeKind::GsCsPmp,
-        &workload,
+        &replayed,
     );
     assert!(report.cores[0].instructions > 0);
 }
