@@ -6,22 +6,17 @@
 //! which the identifier (which prefetchers may train and with what degree) is
 //! derived.
 
-use alecto_types::Pc;
+use alecto_types::{LruTable, Pc};
 
 use crate::config::AlectoConfig;
 use crate::state::{transition, PrefetcherState, StateTransitionInput};
 
-#[derive(Debug, Clone)]
-struct AllocationEntry {
-    pc: Pc,
-    states: Vec<PrefetcherState>,
-    lru: u64,
-}
-
 /// The PC-indexed Allocation Table.
 #[derive(Debug, Clone)]
 pub struct AllocationTable {
-    entries: Vec<Option<AllocationEntry>>,
+    pcs: LruTable<Pc, ()>,
+    /// Prefetcher states: one row of `prefetchers` per slot of `pcs`.
+    states: Vec<PrefetcherState>,
     prefetchers: usize,
     lru_clock: u64,
     evictions: u64,
@@ -37,7 +32,13 @@ impl AllocationTable {
     pub fn new(entries: usize, prefetchers: usize) -> Self {
         assert!(entries > 0, "allocation table needs entries");
         assert!(prefetchers > 0, "allocation table needs at least one prefetcher");
-        Self { entries: vec![None; entries], prefetchers, lru_clock: 0, evictions: 0 }
+        Self {
+            pcs: LruTable::new(entries),
+            states: vec![PrefetcherState::Unidentified; entries * prefetchers],
+            prefetchers,
+            lru_clock: 0,
+            evictions: 0,
+        }
     }
 
     /// Number of prefetchers tracked per entry.
@@ -52,59 +53,46 @@ impl AllocationTable {
         self.evictions
     }
 
-    fn find(&self, pc: Pc) -> Option<usize> {
-        self.entries.iter().position(|e| e.as_ref().map(|e| e.pc) == Some(pc))
+    fn row(&self, slot: usize) -> &[PrefetcherState] {
+        &self.states[slot * self.prefetchers..(slot + 1) * self.prefetchers]
+    }
+
+    fn row_mut(&mut self, slot: usize) -> &mut [PrefetcherState] {
+        &mut self.states[slot * self.prefetchers..(slot + 1) * self.prefetchers]
     }
 
     /// Returns the states of `pc`, allocating a fresh all-UI entry if the PC
     /// has not been seen (or has been evicted since).
     pub fn lookup_or_insert(&mut self, pc: Pc) -> &[PrefetcherState] {
         self.lru_clock += 1;
-        let clock = self.lru_clock;
-        let slot = match self.find(pc) {
-            Some(i) => i,
+        let slot = match self.pcs.find(pc) {
+            Some(slot) => {
+                self.pcs.touch(slot, self.lru_clock);
+                slot
+            }
             None => {
-                let slot = if let Some(i) = self.entries.iter().position(Option::is_none) {
-                    i
-                } else {
-                    let victim = self
-                        .entries
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, e)| e.as_ref().map(|e| e.lru).unwrap_or(0))
-                        .map(|(i, _)| i)
-                        .expect("table non-empty");
+                let (slot, evicted) = self.pcs.insert(pc, self.lru_clock, ());
+                if evicted.is_some() {
                     self.evictions += 1;
-                    victim
-                };
-                self.entries[slot] = Some(AllocationEntry {
-                    pc,
-                    states: vec![PrefetcherState::Unidentified; self.prefetchers],
-                    lru: clock,
-                });
+                }
+                self.row_mut(slot).fill(PrefetcherState::Unidentified);
                 slot
             }
         };
-        let entry = self.entries[slot].as_mut().expect("slot filled above");
-        entry.lru = clock;
-        &self.entries[slot].as_ref().expect("slot filled above").states
+        self.row(slot)
     }
 
     /// Returns the states of `pc` without allocating, if present.
     #[must_use]
     pub fn get(&self, pc: Pc) -> Option<&[PrefetcherState]> {
-        self.find(pc)
-            .map(|i| self.entries[i].as_ref().expect("found index is occupied").states.as_slice())
+        self.pcs.find(pc).map(|slot| self.row(slot))
     }
 
     /// Resets every prefetcher of `pc` back to UI (the dead-counter recovery
     /// path of §IV-C). Does nothing if the PC is not tracked.
     pub fn reset_to_unidentified(&mut self, pc: Pc) {
-        if let Some(i) = self.find(pc) {
-            let entry = self.entries[i].as_mut().expect("found index is occupied");
-            for s in &mut entry.states {
-                *s = PrefetcherState::Unidentified;
-            }
+        if let Some(slot) = self.pcs.find(pc) {
+            self.row_mut(slot).fill(PrefetcherState::Unidentified);
         }
     }
 
@@ -118,18 +106,17 @@ impl AllocationTable {
         accuracies: &[Option<f64>],
         is_temporal: &[bool],
         config: &AlectoConfig,
-    ) -> Vec<PrefetcherState> {
-        let Some(i) = self.find(pc) else {
-            return Vec::new();
+    ) -> &[PrefetcherState] {
+        let Some(slot) = self.pcs.find(pc) else {
+            return &[];
         };
-        let entry = self.entries[i].as_mut().expect("found index is occupied");
-        assert_eq!(accuracies.len(), entry.states.len(), "one accuracy per prefetcher");
-        assert_eq!(is_temporal.len(), entry.states.len(), "one temporal flag per prefetcher");
+        let states = self.row_mut(slot);
+        assert_eq!(accuracies.len(), states.len(), "one accuracy per prefetcher");
+        assert_eq!(is_temporal.len(), states.len(), "one temporal flag per prefetcher");
 
         let pb = config.proficiency_boundary;
         // Which prefetchers qualify for promotion this epoch?
-        let promotable: Vec<bool> = entry
-            .states
+        let promotable: Vec<bool> = states
             .iter()
             .zip(accuracies)
             .map(|(s, acc)| {
@@ -139,32 +126,27 @@ impl AllocationTable {
         let non_temporal_promotable = promotable.iter().zip(is_temporal).any(|(&p, &t)| p && !t);
         let any_promotable = promotable.iter().any(|&p| p);
 
-        let mut new_states: Vec<PrefetcherState> = entry
-            .states
-            .iter()
-            .enumerate()
-            .map(|(j, &s)| {
-                let input = StateTransitionInput {
-                    accuracy: accuracies[j],
-                    another_promoted: any_promotable && !promotable[j],
-                    temporal_demotion: promotable[j] && is_temporal[j] && non_temporal_promotable,
-                };
-                transition(s, input, config)
-            })
-            .collect();
+        // Each new state depends only on its own old state and the flags
+        // above, so the row is updated in place.
+        for (j, s) in states.iter_mut().enumerate() {
+            let input = StateTransitionInput {
+                accuracy: accuracies[j],
+                another_promoted: any_promotable && !promotable[j],
+                temporal_demotion: promotable[j] && is_temporal[j] && non_temporal_promotable,
+            };
+            *s = transition(*s, input, config);
+        }
 
         // Event ②/③ follow-up: if no prefetcher remains aggressive, thawed
         // (IB_0) prefetchers are reconsidered, i.e. moved back to UI.
-        let any_aggressive = new_states.iter().any(PrefetcherState::is_aggressive);
-        if !any_aggressive {
-            for s in &mut new_states {
+        if !states.iter().any(PrefetcherState::is_aggressive) {
+            for s in states.iter_mut() {
                 if *s == PrefetcherState::Blocked(0) {
                     *s = PrefetcherState::Unidentified;
                 }
             }
         }
-        entry.states = new_states.clone();
-        new_states
+        self.row(slot)
     }
 }
 

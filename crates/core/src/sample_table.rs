@@ -6,18 +6,19 @@
 //! requests ("ConfirmedP_i"), the Demand Counter that defines the per-PC epoch
 //! (threshold 100), and the Dead Counter that detects PCs stuck in an IA state
 //! without producing prefetches (threshold 150).
+//!
+//! The selector resolves a demand's PC to its slot once with
+//! [`SampleTable::slot_for`] and then updates that slot through the `*_at`
+//! methods.
 
-use alecto_types::{Pc, RatioCounter};
+use alecto_types::{LruTable, Pc, RatioCounter};
 
 use crate::config::AlectoConfig;
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, Default)]
 struct SampleEntry {
-    pc: Pc,
-    per_prefetcher: Vec<RatioCounter>,
     demand_counter: u32,
     dead_counter: u32,
-    lru: u64,
 }
 
 /// What the Sample Table asks the selector to do after recording a demand
@@ -27,8 +28,8 @@ pub enum SampleEvent {
     /// Keep going; no threshold reached.
     None,
     /// The Demand Counter reached the epoch length: run an Allocation Table
-    /// state transition with the accuracies included here (indexed per
-    /// prefetcher; `None` means the prefetcher issued nothing this epoch).
+    /// state transition with the PC's accuracies
+    /// ([`SampleTable::accuracies_at`]).
     EpochBoundary,
     /// The Dead Counter saturated: reset the PC's states back to UI.
     DeadlockReset,
@@ -37,7 +38,9 @@ pub enum SampleEvent {
 /// The PC-indexed Sample Table.
 #[derive(Debug, Clone)]
 pub struct SampleTable {
-    entries: Vec<Option<SampleEntry>>,
+    entries: LruTable<Pc, SampleEntry>,
+    /// Issued/confirmed counters: one row of `prefetchers` per slot.
+    counters: Vec<RatioCounter>,
     prefetchers: usize,
     lru_clock: u64,
     evictions: u64,
@@ -53,7 +56,13 @@ impl SampleTable {
     pub fn new(entries: usize, prefetchers: usize) -> Self {
         assert!(entries > 0, "sample table needs entries");
         assert!(prefetchers > 0, "sample table needs at least one prefetcher");
-        Self { entries: vec![None; entries], prefetchers, lru_clock: 0, evictions: 0 }
+        Self {
+            entries: LruTable::new(entries),
+            counters: vec![RatioCounter::new(); entries * prefetchers],
+            prefetchers,
+            lru_clock: 0,
+            evictions: 0,
+        }
     }
 
     /// Number of entries evicted due to capacity pressure.
@@ -62,45 +71,35 @@ impl SampleTable {
         self.evictions
     }
 
-    fn find(&self, pc: Pc) -> Option<usize> {
-        self.entries.iter().position(|e| e.as_ref().map(|e| e.pc) == Some(pc))
+    fn row(&self, slot: usize) -> &[RatioCounter] {
+        &self.counters[slot * self.prefetchers..(slot + 1) * self.prefetchers]
     }
 
-    fn slot_for(&mut self, pc: Pc) -> usize {
-        if let Some(i) = self.find(pc) {
-            return i;
+    fn row_mut(&mut self, slot: usize) -> &mut [RatioCounter] {
+        &mut self.counters[slot * self.prefetchers..(slot + 1) * self.prefetchers]
+    }
+
+    /// The slot of `pc`, allocating a fresh entry (LRU-replacing one when the
+    /// table is full) if the PC is not tracked. A fresh entry is not stamped
+    /// as used until [`SampleTable::record_demand_at`] runs for it.
+    pub fn slot_for(&mut self, pc: Pc) -> usize {
+        if let Some(slot) = self.entries.find(pc) {
+            return slot;
         }
-        let slot = if let Some(i) = self.entries.iter().position(Option::is_none) {
-            i
-        } else {
-            let victim = self
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.as_ref().map(|e| e.lru).unwrap_or(0))
-                .map(|(i, _)| i)
-                .expect("table non-empty");
+        let (slot, evicted) = self.entries.insert(pc, 0, SampleEntry::default());
+        if evicted.is_some() {
             self.evictions += 1;
-            victim
-        };
-        self.entries[slot] = Some(SampleEntry {
-            pc,
-            per_prefetcher: vec![RatioCounter::new(); self.prefetchers],
-            demand_counter: 0,
-            dead_counter: 0,
-            lru: 0,
-        });
+        }
+        self.row_mut(slot).fill(RatioCounter::new());
         slot
     }
 
-    /// Records one demand access from `pc` and returns what (if anything) the
-    /// selector must do in response.
-    pub fn record_demand(&mut self, pc: Pc, config: &AlectoConfig) -> SampleEvent {
+    /// Records one demand access from the PC in `slot` and returns what (if
+    /// anything) the selector must do in response.
+    pub fn record_demand_at(&mut self, slot: usize, config: &AlectoConfig) -> SampleEvent {
         self.lru_clock += 1;
-        let clock = self.lru_clock;
-        let slot = self.slot_for(pc);
-        let entry = self.entries[slot].as_mut().expect("slot filled above");
-        entry.lru = clock;
+        self.entries.touch(slot, self.lru_clock);
+        let entry = self.entries.value_mut(slot);
         entry.demand_counter += 1;
         if entry.dead_counter >= config.dead_threshold {
             entry.dead_counter = 0;
@@ -113,29 +112,23 @@ impl SampleTable {
     }
 
     /// Records `count` prefetch requests issued by prefetcher `prefetcher` on
-    /// behalf of `pc`.
-    pub fn record_issued(&mut self, pc: Pc, prefetcher: usize, count: u32) {
-        if count == 0 {
-            return;
+    /// behalf of the PC in `slot`.
+    pub fn record_issued_at(&mut self, slot: usize, prefetcher: usize, count: u32) {
+        if count > 0 {
+            self.row_mut(slot)[prefetcher].record_issued(count);
         }
-        let slot = self.slot_for(pc);
-        let entry = self.entries[slot].as_mut().expect("slot filled above");
-        entry.per_prefetcher[prefetcher].record_issued(count);
     }
 
     /// Records that a previously issued prefetch of prefetcher `prefetcher`
-    /// was confirmed by a demand request from `pc`.
-    pub fn record_confirmed(&mut self, pc: Pc, prefetcher: usize) {
-        let slot = self.slot_for(pc);
-        let entry = self.entries[slot].as_mut().expect("slot filled above");
-        entry.per_prefetcher[prefetcher].record_confirmed();
+    /// was confirmed by a demand request from the PC in `slot`.
+    pub fn record_confirmed_at(&mut self, slot: usize, prefetcher: usize) {
+        self.row_mut(slot)[prefetcher].record_confirmed();
     }
 
     /// Bumps the Dead Counter (no prefetch was generated for a prediction) or
     /// decays it (a prefetch was generated).
-    pub fn record_prediction_outcome(&mut self, pc: Pc, generated_prefetch: bool) {
-        let slot = self.slot_for(pc);
-        let entry = self.entries[slot].as_mut().expect("slot filled above");
+    pub fn record_prediction_outcome_at(&mut self, slot: usize, generated_prefetch: bool) {
+        let entry = self.entries.value_mut(slot);
         if generated_prefetch {
             entry.dead_counter = entry.dead_counter.saturating_sub(1);
         } else {
@@ -143,48 +136,32 @@ impl SampleTable {
         }
     }
 
-    /// Per-prefetcher accuracies of `pc` for the current epoch (`None` for
-    /// prefetchers that issued nothing).
-    #[must_use]
-    pub fn accuracies(&self, pc: Pc) -> Vec<Option<f64>> {
-        match self.find(pc) {
-            Some(i) => self.entries[i]
-                .as_ref()
-                .expect("found index occupied")
-                .per_prefetcher
-                .iter()
-                .map(RatioCounter::accuracy)
-                .collect(),
-            None => vec![None; self.prefetchers],
-        }
+    /// Per-prefetcher accuracies of the PC in `slot` for the current epoch
+    /// (`None` for prefetchers that issued nothing).
+    pub fn accuracies_at(&self, slot: usize) -> impl Iterator<Item = Option<f64>> + '_ {
+        self.row(slot).iter().map(RatioCounter::accuracy)
     }
 
-    /// Clears the per-epoch counters of `pc` (issued/confirmed and the Demand
-    /// Counter). The Dead Counter intentionally survives (§IV-C).
-    pub fn reset_epoch(&mut self, pc: Pc) {
-        if let Some(i) = self.find(pc) {
-            let entry = self.entries[i].as_mut().expect("found index occupied");
-            for c in &mut entry.per_prefetcher {
-                c.reset();
-            }
-            entry.demand_counter = 0;
+    /// Clears the per-epoch counters of the PC in `slot` (issued/confirmed
+    /// and the Demand Counter). The Dead Counter intentionally survives
+    /// (§IV-C).
+    pub fn reset_epoch_at(&mut self, slot: usize) {
+        for c in self.row_mut(slot) {
+            c.reset();
         }
+        self.entries.value_mut(slot).demand_counter = 0;
     }
 
     /// Current Dead Counter of `pc` (testing/diagnostics).
     #[must_use]
     pub fn dead_counter(&self, pc: Pc) -> u32 {
-        self.find(pc)
-            .map(|i| self.entries[i].as_ref().expect("found index occupied").dead_counter)
-            .unwrap_or(0)
+        self.entries.get(pc).map_or(0, |e| e.dead_counter)
     }
 
     /// Current Demand Counter of `pc` (testing/diagnostics).
     #[must_use]
     pub fn demand_counter(&self, pc: Pc) -> u32 {
-        self.find(pc)
-            .map(|i| self.entries[i].as_ref().expect("found index occupied").demand_counter)
-            .unwrap_or(0)
+        self.entries.get(pc).map_or(0, |e| e.demand_counter)
     }
 }
 
@@ -200,12 +177,13 @@ mod tests {
     fn epoch_boundary_after_100_demands() {
         let mut t = SampleTable::new(64, 3);
         let pc = Pc::new(0x40);
+        let slot = t.slot_for(pc);
         for i in 1..100 {
-            assert_eq!(t.record_demand(pc, &cfg()), SampleEvent::None, "demand {i}");
+            assert_eq!(t.record_demand_at(slot, &cfg()), SampleEvent::None, "demand {i}");
         }
-        assert_eq!(t.record_demand(pc, &cfg()), SampleEvent::EpochBoundary);
+        assert_eq!(t.record_demand_at(slot, &cfg()), SampleEvent::EpochBoundary);
         assert_eq!(t.demand_counter(pc), 100);
-        t.reset_epoch(pc);
+        t.reset_epoch_at(slot);
         assert_eq!(t.demand_counter(pc), 0);
     }
 
@@ -213,27 +191,29 @@ mod tests {
     fn accuracy_tracks_issued_and_confirmed() {
         let mut t = SampleTable::new(64, 2);
         let pc = Pc::new(0x44);
-        t.record_issued(pc, 0, 4);
-        t.record_confirmed(pc, 0);
-        t.record_confirmed(pc, 0);
-        t.record_issued(pc, 1, 10);
-        let acc = t.accuracies(pc);
-        assert_eq!(acc[0], Some(0.5));
-        assert_eq!(acc[1], Some(0.0));
-        // Unknown PC yields all-None.
-        assert_eq!(t.accuracies(Pc::new(0x9999)), vec![None, None]);
+        let slot = t.slot_for(pc);
+        t.record_issued_at(slot, 0, 4);
+        t.record_confirmed_at(slot, 0);
+        t.record_confirmed_at(slot, 0);
+        t.record_issued_at(slot, 1, 10);
+        let acc: Vec<_> = t.accuracies_at(slot).collect();
+        assert_eq!(acc, vec![Some(0.5), Some(0.0)]);
+        // A fresh PC has issued nothing: all-None.
+        let fresh = t.slot_for(Pc::new(0x9999));
+        assert_eq!(t.accuracies_at(fresh).collect::<Vec<_>>(), vec![None, None]);
     }
 
     #[test]
     fn epoch_reset_clears_ratio_but_not_dead_counter() {
         let mut t = SampleTable::new(64, 1);
         let pc = Pc::new(0x48);
-        t.record_issued(pc, 0, 8);
+        let slot = t.slot_for(pc);
+        t.record_issued_at(slot, 0, 8);
         for _ in 0..5 {
-            t.record_prediction_outcome(pc, false);
+            t.record_prediction_outcome_at(slot, false);
         }
-        t.reset_epoch(pc);
-        assert_eq!(t.accuracies(pc)[0], None);
+        t.reset_epoch_at(slot);
+        assert_eq!(t.accuracies_at(slot).next(), Some(None));
         assert_eq!(t.dead_counter(pc), 5, "the Dead Counter is not reset with the epoch");
     }
 
@@ -242,11 +222,12 @@ mod tests {
         let cfg = cfg();
         let mut t = SampleTable::new(64, 1);
         let pc = Pc::new(0x4c);
+        let slot = t.slot_for(pc);
         for _ in 0..cfg.dead_threshold {
-            t.record_prediction_outcome(pc, false);
+            t.record_prediction_outcome_at(slot, false);
         }
         // The next demand observes the saturated counter.
-        assert_eq!(t.record_demand(pc, &cfg), SampleEvent::DeadlockReset);
+        assert_eq!(t.record_demand_at(slot, &cfg), SampleEvent::DeadlockReset);
         assert_eq!(t.dead_counter(pc), 0, "the reset event clears the dead counter");
     }
 
@@ -254,11 +235,12 @@ mod tests {
     fn successful_predictions_decay_dead_counter() {
         let mut t = SampleTable::new(64, 1);
         let pc = Pc::new(0x50);
+        let slot = t.slot_for(pc);
         for _ in 0..10 {
-            t.record_prediction_outcome(pc, false);
+            t.record_prediction_outcome_at(slot, false);
         }
         for _ in 0..4 {
-            t.record_prediction_outcome(pc, true);
+            t.record_prediction_outcome_at(slot, true);
         }
         assert_eq!(t.dead_counter(pc), 6);
     }
@@ -267,17 +249,22 @@ mod tests {
     fn zero_count_issue_is_a_noop() {
         let mut t = SampleTable::new(64, 1);
         let pc = Pc::new(0x54);
-        t.record_issued(pc, 0, 0);
-        assert_eq!(t.accuracies(pc)[0], None);
+        let slot = t.slot_for(pc);
+        t.record_issued_at(slot, 0, 0);
+        assert_eq!(t.accuracies_at(slot).next(), Some(None));
     }
 
     #[test]
     fn capacity_eviction_counts() {
         let mut t = SampleTable::new(4, 1);
         for pc in 0..8u64 {
-            t.record_demand(Pc::new(pc), &cfg());
+            let slot = t.slot_for(Pc::new(pc));
+            t.record_demand_at(slot, &cfg());
         }
-        assert!(t.evictions() >= 4);
+        assert_eq!(t.evictions(), 4);
+        // The newest PCs survive, the oldest were replaced.
+        assert_eq!(t.demand_counter(Pc::new(7)), 1);
+        assert_eq!(t.demand_counter(Pc::new(0)), 0);
     }
 
     #[test]

@@ -20,18 +20,17 @@ struct PrefetcherSlot {
     pc_hash: u32,
 }
 
-#[derive(Debug, Clone)]
-struct SandboxEntry {
-    /// Partial tag of the prefetched line (6 bits in Table III; the model
-    /// keeps the full line address for exactness and charges only 6 bits).
-    line: LineAddr,
-    slots: Vec<PrefetcherSlot>,
-}
-
 /// The address-indexed Sandbox Table.
+///
+/// Entry `i` is `lines[i]` (its tag) plus row `i` of `slots`, the
+/// `prefetchers` per-prefetcher slots stored flat in one array.
 #[derive(Debug, Clone)]
 pub struct SandboxTable {
-    entries: Vec<Option<SandboxEntry>>,
+    /// Partial tag of each entry's prefetched line (6 bits in Table III; the
+    /// model keeps the full line address for exactness and charges only 6
+    /// bits). `None` until the entry is first written.
+    lines: Vec<Option<LineAddr>>,
+    slots: Vec<PrefetcherSlot>,
     prefetchers: usize,
     pc_hash_bits: u32,
     recorded: u64,
@@ -45,15 +44,19 @@ impl SandboxTable {
     ///
     /// # Panics
     ///
-    /// Panics if `entries` is zero or not a power of two, or `prefetchers` is zero.
+    /// Panics if `entries` is zero or not a power of two, or `prefetchers` is
+    /// zero or more than 64 (the width of a [`SandboxTable::confirm_demand`]
+    /// mask).
     #[must_use]
     pub fn new(entries: usize, prefetchers: usize) -> Self {
         assert!(entries > 0 && entries.is_power_of_two(), "sandbox table must be a power of two");
         assert!(prefetchers > 0, "sandbox table needs at least one prefetcher");
+        assert!(prefetchers <= 64, "sandbox table tracks at most 64 prefetchers");
         // §IV-C: the PC hash width matches the logarithm of the entry count.
         let pc_hash_bits = entries.trailing_zeros().max(1);
         Self {
-            entries: vec![None; entries],
+            lines: vec![None; entries],
+            slots: vec![PrefetcherSlot::default(); entries * prefetchers],
             prefetchers,
             pc_hash_bits,
             recorded: 0,
@@ -87,7 +90,11 @@ impl SandboxTable {
     }
 
     fn index(&self, line: LineAddr) -> usize {
-        (mix64(line.raw()) as usize) & (self.entries.len() - 1)
+        (mix64(line.raw()) as usize) & (self.lines.len() - 1)
+    }
+
+    fn row_mut(&mut self, idx: usize) -> &mut [PrefetcherSlot] {
+        &mut self.slots[idx * self.prefetchers..(idx + 1) * self.prefetchers]
     }
 
     /// Step ⑥: returns `true` (duplicate, drop the request) if `line` already
@@ -96,52 +103,48 @@ impl SandboxTable {
     pub fn filter_and_record(&mut self, line: LineAddr, prefetcher: usize, trigger_pc: Pc) -> bool {
         assert!(prefetcher < self.prefetchers, "prefetcher index out of range");
         let idx = self.index(line);
-        let pc_hash = fold_pc(trigger_pc, self.pc_hash_bits);
-        match &mut self.entries[idx] {
-            Some(e) if e.line == line => {
-                // Tag hit: duplicate. Still remember that this prefetcher also
-                // wanted the line so it can be credited on confirmation.
-                e.slots[prefetcher] = PrefetcherSlot { valid: true, pc_hash };
-                self.filtered += 1;
-                true
-            }
-            slot => {
-                let mut slots = vec![PrefetcherSlot::default(); self.prefetchers];
-                slots[prefetcher] = PrefetcherSlot { valid: true, pc_hash };
-                *slot = Some(SandboxEntry { line, slots });
-                self.recorded += 1;
-                false
-            }
+        let slot = PrefetcherSlot { valid: true, pc_hash: fold_pc(trigger_pc, self.pc_hash_bits) };
+        if self.lines[idx] == Some(line) {
+            // Tag hit: duplicate. Still remember that this prefetcher also
+            // wanted the line so it can be credited on confirmation.
+            self.row_mut(idx)[prefetcher] = slot;
+            self.filtered += 1;
+            return true;
         }
+        self.lines[idx] = Some(line);
+        let row = self.row_mut(idx);
+        row.fill(PrefetcherSlot::default());
+        row[prefetcher] = slot;
+        self.recorded += 1;
+        false
     }
 
-    /// Step ④/⑤: checks an incoming demand request against the table and
-    /// returns the indices of prefetchers whose recorded (hashed) trigger PC
-    /// matches the demand's PC — these get a Confirmed increment.
-    pub fn confirm_demand(&mut self, line: LineAddr, pc: Pc) -> Vec<usize> {
+    /// Step ④/⑤: checks an incoming demand request against the table.
+    ///
+    /// Returns a mask with bit `i` set for every prefetcher `i` whose
+    /// recorded (hashed) trigger PC matches the demand's PC; each of those
+    /// gets a Confirmed increment. The mask is 0 when `line` misses.
+    pub fn confirm_demand(&mut self, line: LineAddr, pc: Pc) -> u64 {
         let idx = self.index(line);
-        let pc_hash = fold_pc(pc, self.pc_hash_bits);
-        let Some(entry) = &self.entries[idx] else {
-            return Vec::new();
-        };
-        if entry.line != line {
-            return Vec::new();
+        if self.lines[idx] != Some(line) {
+            return 0;
         }
-        let matched: Vec<usize> = entry
-            .slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.valid && s.pc_hash == pc_hash)
-            .map(|(i, _)| i)
-            .collect();
-        self.confirmations += matched.len() as u64;
+        let pc_hash = fold_pc(pc, self.pc_hash_bits);
+        let mut matched = 0u64;
+        let row = &self.slots[idx * self.prefetchers..(idx + 1) * self.prefetchers];
+        for (i, s) in row.iter().enumerate() {
+            if s.valid && s.pc_hash == pc_hash {
+                matched |= 1 << i;
+            }
+        }
+        self.confirmations += u64::from(matched.count_ones());
         matched
     }
 
     /// Number of currently valid entries (diagnostics).
     #[must_use]
     pub fn occupancy(&self) -> usize {
-        self.entries.iter().filter(|e| e.is_some()).count()
+        self.lines.iter().filter(|e| e.is_some()).count()
     }
 }
 
@@ -155,7 +158,7 @@ mod tests {
         let pc = Pc::new(0x30b00);
         assert!(!t.filter_and_record(LineAddr::new(100), 2, pc));
         let matched = t.confirm_demand(LineAddr::new(100), pc);
-        assert_eq!(matched, vec![2]);
+        assert_eq!(matched, 1 << 2);
         assert_eq!(t.confirmations(), 1);
     }
 
@@ -164,7 +167,7 @@ mod tests {
         let mut t = SandboxTable::new(512, 3);
         t.filter_and_record(LineAddr::new(100), 1, Pc::new(0x30b00));
         let matched = t.confirm_demand(LineAddr::new(100), Pc::new(0x30aca));
-        assert!(matched.is_empty());
+        assert_eq!(matched, 0);
     }
 
     #[test]
@@ -175,14 +178,14 @@ mod tests {
         assert_eq!(t.filtered(), 1);
         assert_eq!(t.recorded(), 1);
         // Both prefetchers can now be confirmed by their own PCs.
-        assert_eq!(t.confirm_demand(LineAddr::new(7), Pc::new(0x10)), vec![0]);
-        assert_eq!(t.confirm_demand(LineAddr::new(7), Pc::new(0x20)), vec![1]);
+        assert_eq!(t.confirm_demand(LineAddr::new(7), Pc::new(0x10)), 1 << 0);
+        assert_eq!(t.confirm_demand(LineAddr::new(7), Pc::new(0x20)), 1 << 1);
     }
 
     #[test]
     fn unknown_line_confirms_nothing() {
         let mut t = SandboxTable::new(64, 2);
-        assert!(t.confirm_demand(LineAddr::new(1234), Pc::new(0x40)).is_empty());
+        assert_eq!(t.confirm_demand(LineAddr::new(1234), Pc::new(0x40)), 0);
     }
 
     #[test]
@@ -206,6 +209,12 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_panics() {
         let _ = SandboxTable::new(100, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 prefetchers")]
+    fn more_prefetchers_than_mask_bits_panics() {
+        let _ = SandboxTable::new(64, 65);
     }
 
     #[test]

@@ -43,7 +43,10 @@ pub struct AlectoSelector {
     allocation: AllocationTable,
     sample: SampleTable,
     sandbox: SandboxTable,
+    /// Which composite slots hold temporal prefetchers; latched on the first
+    /// [`Selector::allocate`] call.
     is_temporal: Vec<bool>,
+    temporal_latched: bool,
     stats: AlectoStats,
 }
 
@@ -64,6 +67,7 @@ impl AlectoSelector {
             sample: SampleTable::new(config.sample_entries, prefetcher_count),
             sandbox: SandboxTable::new(config.sandbox_entries, prefetcher_count),
             is_temporal: vec![false; prefetcher_count],
+            temporal_latched: false,
             prefetcher_count,
             config,
             stats: AlectoStats::default(),
@@ -99,17 +103,18 @@ impl AlectoSelector {
     pub const fn sandbox(&self) -> &SandboxTable {
         &self.sandbox
     }
+}
 
-    fn decision_for_state(&self, state: PrefetcherState) -> Option<DegreeAllocation> {
-        let c = self.config.conservative_degree;
-        match state {
-            PrefetcherState::Unidentified => Some(DegreeAllocation::l1(c)),
-            PrefetcherState::Aggressive(m) => match self.config.fixed_ia_degree {
-                Some(fixed) => Some(DegreeAllocation::l1(fixed)),
-                None => Some(DegreeAllocation::split(c, m + 1)),
-            },
-            PrefetcherState::Blocked(_) => None,
-        }
+/// The identifier entry (step ②) for one prefetcher in `state`.
+fn decision_for_state(config: &AlectoConfig, state: PrefetcherState) -> Option<DegreeAllocation> {
+    let c = config.conservative_degree;
+    match state {
+        PrefetcherState::Unidentified => Some(DegreeAllocation::l1(c)),
+        PrefetcherState::Aggressive(m) => match config.fixed_ia_degree {
+            Some(fixed) => Some(DegreeAllocation::l1(fixed)),
+            None => Some(DegreeAllocation::split(c, m + 1)),
+        },
+        PrefetcherState::Blocked(_) => None,
     }
 }
 
@@ -134,43 +139,53 @@ impl Selector for AlectoSelector {
             self.prefetcher_count,
             prefetchers.len()
         );
-        // Learn which composite slots hold temporal prefetchers (cheap and
-        // idempotent; avoids a separate configuration step).
-        for (flag, pf) in self.is_temporal.iter_mut().zip(prefetchers) {
-            *flag = pf.is_temporal();
+        // Learn which composite slots hold temporal prefetchers. A composite
+        // never changes its members, so the flags are read once.
+        if self.temporal_latched {
+            debug_assert!(
+                self.is_temporal.iter().zip(prefetchers).all(|(&t, pf)| t == pf.is_temporal()),
+                "the composite changed under Alecto"
+            );
+        } else {
+            for (flag, pf) in self.is_temporal.iter_mut().zip(prefetchers) {
+                *flag = pf.is_temporal();
+            }
+            self.temporal_latched = true;
         }
         self.stats.demands += 1;
+        let pc = access.pc;
+        let slot = self.sample.slot_for(pc);
 
         // Step ④/⑤: confirm earlier prefetches that this demand request hits.
-        for pf_idx in self.sandbox.confirm_demand(access.line(), access.pc) {
-            self.sample.record_confirmed(access.pc, pf_idx);
+        let mut confirmed = self.sandbox.confirm_demand(access.line(), pc);
+        while confirmed != 0 {
+            self.sample.record_confirmed_at(slot, confirmed.trailing_zeros() as usize);
+            confirmed &= confirmed - 1;
         }
 
         // Step ①: per-PC demand counting, epoch transitions, deadlock resets.
-        match self.sample.record_demand(access.pc, &self.config) {
+        match self.sample.record_demand_at(slot, &self.config) {
             SampleEvent::EpochBoundary => {
-                let accuracies = self.sample.accuracies(access.pc);
-                self.allocation.lookup_or_insert(access.pc);
-                self.allocation.epoch_transition(
-                    access.pc,
-                    &accuracies,
-                    &self.is_temporal,
-                    &self.config,
-                );
-                self.sample.reset_epoch(access.pc);
+                let accuracies: Vec<Option<f64>> = self.sample.accuracies_at(slot).collect();
+                self.allocation.lookup_or_insert(pc);
+                self.allocation.epoch_transition(pc, &accuracies, &self.is_temporal, &self.config);
+                self.sample.reset_epoch_at(slot);
                 self.stats.epoch_transitions += 1;
             }
             SampleEvent::DeadlockReset => {
-                self.allocation.reset_to_unidentified(access.pc);
+                self.allocation.reset_to_unidentified(pc);
                 self.stats.deadlock_resets += 1;
             }
             SampleEvent::None => {}
         }
 
         // Step ②: build the identifier from the per-prefetcher states.
-        let states: Vec<PrefetcherState> = self.allocation.lookup_or_insert(access.pc).to_vec();
-        let per_prefetcher: Vec<Option<DegreeAllocation>> =
-            states.iter().map(|&s| self.decision_for_state(s)).collect();
+        let per_prefetcher: Vec<Option<DegreeAllocation>> = self
+            .allocation
+            .lookup_or_insert(pc)
+            .iter()
+            .map(|&s| decision_for_state(&self.config, s))
+            .collect();
         if per_prefetcher.iter().any(Option::is_none) {
             self.stats.allocations_withheld += 1;
         }
@@ -180,40 +195,46 @@ impl Selector for AlectoSelector {
     fn select_requests(
         &mut self,
         access: &DemandAccess,
-        candidates: Vec<PrefetchRequest>,
+        mut candidates: Vec<PrefetchRequest>,
     ) -> Vec<PrefetchRequest> {
         // Step ③ + ⑥: the Sandbox Table drops duplicates and records the
         // rest; the Sample Table's Issued counters count the requests that
         // actually reach the prefetch queue (a request whose line is already
         // pending is not a new issue, though its issuer is still remembered in
-        // the sandbox entry so a later demand hit can confirm it).
-        let mut issued_per_prefetcher = vec![0u32; self.prefetcher_count];
-        let mut out = Vec::with_capacity(candidates.len());
-        for req in candidates {
-            let duplicate =
-                self.sandbox.filter_and_record(req.line, req.issuer.index(), req.trigger_pc);
-            if !duplicate {
-                // §IV-B: the first c (surviving) lines of a prefetcher fill the
-                // cache the prefetchers reside in; the extra lines granted by
-                // the IA_m state fill the next-level cache.
-                let fill = if self.config.fixed_ia_degree.is_some()
-                    || issued_per_prefetcher[req.issuer.index()] < self.config.conservative_degree
-                {
-                    alecto_types::FillLevel::L1
-                } else {
-                    alecto_types::FillLevel::L2
-                };
-                issued_per_prefetcher[req.issuer.index()] += 1;
-                out.push(req.with_fill_level(fill));
+        // the sandbox entry so a later demand hit can confirm it). Survivors
+        // are compacted in place, keeping their order.
+        let slot = self.sample.slot_for(access.pc);
+        // At most 64 prefetchers: the Sandbox Table's limit.
+        let mut issued = [0u32; 64];
+        let mut kept = 0;
+        for i in 0..candidates.len() {
+            let req = candidates[i];
+            let issuer = req.issuer.index();
+            if self.sandbox.filter_and_record(req.line, issuer, req.trigger_pc) {
+                continue;
             }
+            // §IV-B: the first c (surviving) lines of a prefetcher fill the
+            // cache the prefetchers reside in; the extra lines granted by
+            // the IA_m state fill the next-level cache.
+            let fill = if self.config.fixed_ia_degree.is_some()
+                || issued[issuer] < self.config.conservative_degree
+            {
+                alecto_types::FillLevel::L1
+            } else {
+                alecto_types::FillLevel::L2
+            };
+            issued[issuer] += 1;
+            candidates[kept] = req.with_fill_level(fill);
+            kept += 1;
         }
-        for (i, count) in issued_per_prefetcher.into_iter().enumerate() {
-            self.sample.record_issued(access.pc, i, count);
+        candidates.truncate(kept);
+        for (i, &count) in issued[..self.prefetcher_count].iter().enumerate() {
+            self.sample.record_issued_at(slot, i, count);
         }
 
         // Dead-counter bookkeeping: did this prediction produce any prefetch?
-        self.sample.record_prediction_outcome(access.pc, !out.is_empty());
-        out
+        self.sample.record_prediction_outcome_at(slot, kept > 0);
+        candidates
     }
 
     fn needs_external_filter(&self) -> bool {

@@ -8,7 +8,7 @@
 //! accurate prefetch"). Only high-confidence deltas are used, which is what
 //! makes Berti conservative and accurate compared to PMP/CPLX (§VI-B).
 
-use alecto_types::{DemandAccess, LineAddr, Pc};
+use alecto_types::{DemandAccess, LineAddr, LruTable, Pc};
 
 use crate::traits::{Prefetcher, PrefetcherKind, TableStats};
 
@@ -21,12 +21,12 @@ struct DeltaEntry {
     confidence: u8,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct BertiEntry {
-    tag: Pc,
-    history: Vec<LineAddr>,
+    /// The last `history_len` accessed lines, oldest first.
+    history: [LineAddr; HISTORY_LEN],
+    history_len: usize,
     deltas: [DeltaEntry; DELTAS_PER_PC],
-    lru: u64,
 }
 
 /// Configuration of the Berti prefetcher.
@@ -50,7 +50,7 @@ impl Default for BertiConfig {
 #[derive(Debug, Clone)]
 pub struct BertiPrefetcher {
     config: BertiConfig,
-    table: Vec<Option<BertiEntry>>,
+    table: LruTable<Pc, BertiEntry>,
     lru_clock: u64,
     stats: TableStats,
 }
@@ -60,7 +60,7 @@ impl BertiPrefetcher {
     #[must_use]
     pub fn new(config: BertiConfig) -> Self {
         Self {
-            table: vec![None; config.entries],
+            table: LruTable::new(config.entries),
             config,
             lru_clock: 0,
             stats: TableStats::default(),
@@ -71,24 +71,6 @@ impl BertiPrefetcher {
     #[must_use]
     pub fn default_config() -> Self {
         Self::new(BertiConfig::default())
-    }
-
-    fn slot_for(&mut self, pc: Pc) -> (usize, bool) {
-        if let Some(i) = self.table.iter().position(|e| e.as_ref().map(|e| e.tag) == Some(pc)) {
-            return (i, true);
-        }
-        if let Some(i) = self.table.iter().position(Option::is_none) {
-            return (i, false);
-        }
-        let victim = self
-            .table
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, e)| e.as_ref().map(|e| e.lru).unwrap_or(0))
-            .map(|(i, _)| i)
-            .expect("table non-empty");
-        self.stats.evictions += 1;
-        (victim, false)
     }
 }
 
@@ -109,25 +91,29 @@ impl Prefetcher for BertiPrefetcher {
         self.stats.trainings += 1;
         let threshold = self.config.confidence_threshold;
         let max = self.config.confidence_max;
-        let (slot, hit) = self.slot_for(access.pc);
-        if hit {
+        let slot = if let Some(slot) = self.table.find(access.pc) {
             self.stats.hits += 1;
+            self.table.touch(slot, clock);
+            slot
         } else {
             self.stats.misses += 1;
-            self.table[slot] = Some(BertiEntry {
-                tag: access.pc,
-                history: Vec::with_capacity(HISTORY_LEN),
+            let entry = BertiEntry {
+                history: [LineAddr::default(); HISTORY_LEN],
+                history_len: 0,
                 deltas: [DeltaEntry::default(); DELTAS_PER_PC],
-                lru: clock,
-            });
-        }
-        let entry = self.table[slot].as_mut().expect("slot filled above");
-        entry.lru = clock;
+            };
+            let (slot, evicted) = self.table.insert(access.pc, clock, entry);
+            if evicted.is_some() {
+                self.stats.evictions += 1;
+            }
+            slot
+        };
+        let entry = self.table.value_mut(slot);
 
         // Reward every delta that would have predicted this access from an
         // earlier history entry (older entries imply better timeliness and
         // are rewarded slightly more).
-        for (age, &past) in entry.history.iter().rev().enumerate() {
+        for (age, &past) in entry.history[..entry.history_len].iter().rev().enumerate() {
             let delta = line.delta_from(past);
             if delta == 0 {
                 continue;
@@ -146,33 +132,40 @@ impl Prefetcher for BertiPrefetcher {
             }
         }
 
-        entry.history.push(line);
-        if entry.history.len() > HISTORY_LEN {
-            entry.history.remove(0);
+        if entry.history_len == HISTORY_LEN {
+            entry.history.copy_within(1.., 0);
+            entry.history[HISTORY_LEN - 1] = line;
+        } else {
+            entry.history[entry.history_len] = line;
+            entry.history_len += 1;
         }
 
         if degree == 0 {
             return;
         }
-        let mut best: Vec<DeltaEntry> = entry
-            .deltas
-            .iter()
-            .copied()
-            .filter(|d| d.confidence >= threshold && d.delta != 0)
-            .collect();
+        let mut best = [DeltaEntry::default(); DELTAS_PER_PC];
+        let mut n = 0;
+        for &d in &entry.deltas {
+            if d.confidence >= threshold && d.delta != 0 {
+                best[n] = d;
+                n += 1;
+            }
+        }
+        // A stable sort: tied keys keep their table order. At this length
+        // the standard library sorts in place, without allocating.
+        let best = &mut best[..n];
         best.sort_by(|a, b| {
             b.confidence.cmp(&a.confidence).then(a.delta.abs().cmp(&b.delta.abs()))
         });
-        for d in best.into_iter().take(degree as usize) {
+        for d in best.iter().take(degree as usize) {
             out.push(line.offset(d.delta));
             self.stats.candidates_emitted += 1;
         }
     }
 
     fn probe(&self, access: &DemandAccess) -> bool {
-        self.table.iter().flatten().any(|e| {
-            e.tag == access.pc
-                && e.deltas.iter().any(|d| d.confidence >= self.config.confidence_threshold)
+        self.table.get(access.pc).is_some_and(|e| {
+            e.deltas.iter().any(|d| d.confidence >= self.config.confidence_threshold)
         })
     }
 

@@ -8,27 +8,22 @@
 //! offsets. PMP is the aggressive spatial component of the paper's default
 //! composite (GS + CS + PMP).
 
-use alecto_types::{fold_pc, DemandAccess, LineAddr, PageAddr, Pc, LINES_PER_PAGE};
+use alecto_types::{fold_pc, DemandAccess, LineAddr, LruTable, PageAddr, Pc, LINES_PER_PAGE};
 
 use crate::traits::{Prefetcher, PrefetcherKind, TableStats};
 
 const OFFSETS: usize = LINES_PER_PAGE as usize;
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct AccumulationEntry {
-    page: PageAddr,
     trigger_offset: u64,
     trigger_pc: Pc,
     footprint: u64,
-    lru: u64,
 }
 
-#[derive(Debug, Clone)]
-struct PatternEntry {
-    signature: u32,
-    counters: [u8; OFFSETS],
-    lru: u64,
-}
+/// Per-offset counters of one PHT pattern, rotated so that the trigger
+/// offset is position 0.
+type Pattern = [u8; OFFSETS];
 
 /// Configuration of the PMP prefetcher.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,8 +48,10 @@ impl Default for PmpConfig {
 #[derive(Debug, Clone)]
 pub struct PmpPrefetcher {
     config: PmpConfig,
-    accumulation: Vec<Option<AccumulationEntry>>,
-    pht: Vec<Option<PatternEntry>>,
+    /// Accumulation Table, keyed by page.
+    accumulation: LruTable<PageAddr, AccumulationEntry>,
+    /// Pattern History Table, keyed by trigger signature.
+    pht: LruTable<u32, Pattern>,
     lru_clock: u64,
     stats: TableStats,
 }
@@ -64,8 +61,8 @@ impl PmpPrefetcher {
     #[must_use]
     pub fn new(config: PmpConfig) -> Self {
         Self {
-            accumulation: vec![None; config.accumulation_entries],
-            pht: vec![None; config.pht_entries],
+            accumulation: LruTable::new(config.accumulation_entries),
+            pht: LruTable::new(config.pht_entries),
             config,
             lru_clock: 0,
             stats: TableStats::default(),
@@ -93,39 +90,26 @@ impl PmpPrefetcher {
         self.stats.trainings += 1;
         let max = self.config.counter_max;
         // Rotate the footprint so that the trigger offset becomes position 0;
-        // patterns become position-independent within the page.
-        let rotate = entry.trigger_offset;
-        let slot = if let Some(i) =
-            self.pht.iter().position(|e| e.as_ref().map(|e| e.signature) == Some(signature))
-        {
-            i
-        } else if let Some(i) = self.pht.iter().position(Option::is_none) {
-            i
+        // patterns become position-independent within the page. Bit `r` of
+        // the rotated footprint is page offset `(r + trigger_offset) % 64`.
+        let footprint =
+            entry.footprint.rotate_right((entry.trigger_offset % OFFSETS as u64) as u32);
+        let slot = if let Some(slot) = self.pht.find(signature) {
+            self.pht.touch(slot, clock);
+            slot
         } else {
-            let victim = self
-                .pht
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.as_ref().map(|e| e.lru).unwrap_or(0))
-                .map(|(i, _)| i)
-                .expect("PHT is non-empty");
-            self.stats.evictions += 1;
-            self.pht[victim] = None;
-            victim
-        };
-        let pattern = self.pht[slot].get_or_insert(PatternEntry {
-            signature,
-            counters: [0; OFFSETS],
-            lru: clock,
-        });
-        pattern.lru = clock;
-        for bit in 0..OFFSETS as u64 {
-            let rotated = ((bit + OFFSETS as u64 - rotate) % OFFSETS as u64) as usize;
-            if entry.footprint & (1 << bit) != 0 {
-                pattern.counters[rotated] = (pattern.counters[rotated] + 1).min(max);
-            } else {
-                pattern.counters[rotated] = pattern.counters[rotated].saturating_sub(1);
+            let (slot, evicted) = self.pht.insert(signature, clock, [0; OFFSETS]);
+            if evicted.is_some() {
+                self.stats.evictions += 1;
             }
+            slot
+        };
+        for (r, counter) in self.pht.value_mut(slot).iter_mut().enumerate() {
+            *counter = if footprint >> r & 1 != 0 {
+                (*counter + 1).min(max)
+            } else {
+                counter.saturating_sub(1)
+            };
         }
     }
 
@@ -139,26 +123,29 @@ impl PmpPrefetcher {
     ) {
         let signature = Self::signature(pc, trigger_offset);
         self.stats.lookups += 1;
-        let Some(pattern) = self.pht.iter().flatten().find(|e| e.signature == signature).cloned()
-        else {
+        let Some(pattern) = self.pht.get(signature) else {
             self.stats.misses += 1;
             return;
         };
         self.stats.hits += 1;
-        // Collect offsets above threshold, strongest and nearest first.
-        let mut candidates: Vec<(u8, u64)> = pattern
-            .counters
-            .iter()
-            .enumerate()
-            .skip(1) // position 0 is the trigger itself
-            .filter(|(_, &c)| c >= self.config.counter_threshold)
-            .map(|(i, &c)| (c, i as u64))
-            .collect();
-        candidates.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        for (_, rel) in candidates.into_iter().take(degree as usize) {
-            let offset = (trigger_offset + rel) % OFFSETS as u64;
-            out.push(page.line(offset));
-            self.stats.candidates_emitted += 1;
+        // Emit offsets above threshold, strongest and nearest first: one pass
+        // per counter value from the strongest one down, each pass in offset
+        // order. Position 0 is the trigger itself. Most patterns hold no
+        // counter above threshold, and the max finds that without a pass.
+        let strongest = pattern[1..].iter().copied().max().unwrap_or(0);
+        let mut budget = degree as usize;
+        for level in (self.config.counter_threshold..=strongest).rev() {
+            for (rel, &c) in pattern.iter().enumerate().skip(1) {
+                if budget == 0 {
+                    return;
+                }
+                if c == level {
+                    let offset = (trigger_offset + rel as u64) % OFFSETS as u64;
+                    out.push(page.line(offset));
+                    self.stats.candidates_emitted += 1;
+                    budget -= 1;
+                }
+            }
         }
     }
 }
@@ -179,35 +166,22 @@ impl Prefetcher for PmpPrefetcher {
         self.lru_clock += 1;
         let clock = self.lru_clock;
 
-        if let Some(entry) = self.accumulation.iter_mut().flatten().find(|e| e.page == page) {
-            entry.footprint |= 1 << offset;
-            entry.lru = clock;
+        if let Some(slot) = self.accumulation.find(page) {
+            self.accumulation.touch(slot, clock);
+            self.accumulation.value_mut(slot).footprint |= 1 << offset;
             return;
         }
 
-        // New page: evict an accumulation entry (learning its pattern), then
-        // allocate and predict from the PHT.
-        let slot = if let Some(i) = self.accumulation.iter().position(Option::is_none) {
-            i
-        } else {
-            let victim = self
-                .accumulation
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.as_ref().map(|e| e.lru).unwrap_or(0))
-                .map(|(i, _)| i)
-                .expect("accumulation table is non-empty");
-            let old = self.accumulation[victim].take().expect("victim was occupied");
-            self.merge_into_pht(&old);
-            victim
-        };
-        self.accumulation[slot] = Some(AccumulationEntry {
-            page,
+        // New page: allocate an accumulation entry, evicting (and learning
+        // the pattern of) the least recent one, then predict from the PHT.
+        let entry = AccumulationEntry {
             trigger_offset: offset,
             trigger_pc: access.pc,
             footprint: 1 << offset,
-            lru: clock,
-        });
+        };
+        if let (_, Some((_, old))) = self.accumulation.insert(page, clock, entry) {
+            self.merge_into_pht(&old);
+        }
         if degree > 0 {
             self.predict(access.pc, page, offset, degree, out);
         }
@@ -216,14 +190,12 @@ impl Prefetcher for PmpPrefetcher {
     fn probe(&self, access: &DemandAccess) -> bool {
         let line = access.line();
         let page = line.page();
-        let in_accumulation = self.accumulation.iter().flatten().any(|e| e.page == page);
-        if in_accumulation {
+        if self.accumulation.find(page).is_some() {
             return true;
         }
         let signature = Self::signature(access.pc, line.index_in_page());
-        self.pht.iter().flatten().any(|e| {
-            e.signature == signature
-                && e.counters.iter().filter(|&&c| c >= self.config.counter_threshold).count() > 1
+        self.pht.get(signature).is_some_and(|pattern| {
+            pattern.iter().filter(|&&c| c >= self.config.counter_threshold).count() > 1
         })
     }
 

@@ -5,17 +5,15 @@
 //! Once the same stride repeats, the prefetcher issues `degree` prefetches
 //! along that stride.
 
-use alecto_types::{DemandAccess, LineAddr, Pc, SaturatingCounter};
+use alecto_types::{DemandAccess, LineAddr, LruTable, Pc, SaturatingCounter};
 
 use crate::traits::{Prefetcher, PrefetcherKind, TableStats};
 
 #[derive(Debug, Clone, Copy)]
 struct StrideEntry {
-    tag: Pc,
     last_line: LineAddr,
     stride: i64,
     confidence: SaturatingCounter,
-    lru: u64,
 }
 
 /// Configuration of the stride prefetcher.
@@ -37,7 +35,7 @@ impl Default for StrideConfig {
 #[derive(Debug, Clone)]
 pub struct StridePrefetcher {
     config: StrideConfig,
-    table: Vec<Option<StrideEntry>>,
+    table: LruTable<Pc, StrideEntry>,
     lru_clock: u64,
     stats: TableStats,
 }
@@ -47,7 +45,7 @@ impl StridePrefetcher {
     #[must_use]
     pub fn new(config: StrideConfig) -> Self {
         Self {
-            table: vec![None; config.entries],
+            table: LruTable::new(config.entries),
             config,
             lru_clock: 0,
             stats: TableStats::default(),
@@ -58,25 +56,6 @@ impl StridePrefetcher {
     #[must_use]
     pub fn default_config() -> Self {
         Self::new(StrideConfig::default())
-    }
-
-    fn find_slot(&mut self, pc: Pc) -> (usize, bool) {
-        // Fully-associative with LRU replacement, matching the small IP table.
-        if let Some(i) = self.table.iter().position(|e| e.map(|e| e.tag) == Some(pc)) {
-            return (i, true);
-        }
-        if let Some(i) = self.table.iter().position(Option::is_none) {
-            return (i, false);
-        }
-        let victim = self
-            .table
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, e)| e.map(|e| e.lru).unwrap_or(0))
-            .map(|(i, _)| i)
-            .expect("table is non-empty");
-        self.stats.evictions += 1;
-        (victim, false)
     }
 }
 
@@ -94,22 +73,22 @@ impl Prefetcher for StridePrefetcher {
         self.lru_clock += 1;
         self.stats.lookups += 1;
         self.stats.trainings += 1;
-        let (slot, hit) = self.find_slot(access.pc);
-        if hit {
-            self.stats.hits += 1;
-        } else {
+        // Fully-associative with LRU replacement, matching the small IP table.
+        let Some(slot) = self.table.find(access.pc) else {
             self.stats.misses += 1;
-            self.table[slot] = Some(StrideEntry {
-                tag: access.pc,
+            let entry = StrideEntry {
                 last_line: line,
                 stride: 0,
                 confidence: SaturatingCounter::with_bits(2),
-                lru: self.lru_clock,
-            });
+            };
+            if self.table.insert(access.pc, self.lru_clock, entry).1.is_some() {
+                self.stats.evictions += 1;
+            }
             return;
-        }
-        let entry = self.table[slot].as_mut().expect("hit entries are present");
-        entry.lru = self.lru_clock;
+        };
+        self.stats.hits += 1;
+        self.table.touch(slot, self.lru_clock);
+        let entry = self.table.value_mut(slot);
         let new_stride = line.delta_from(entry.last_line);
         if new_stride == 0 {
             // Same-line re-reference carries no stride information.
@@ -134,9 +113,8 @@ impl Prefetcher for StridePrefetcher {
 
     fn probe(&self, access: &DemandAccess) -> bool {
         self.table
-            .iter()
-            .flatten()
-            .any(|e| e.tag == access.pc && e.confidence.value() >= self.config.confidence_threshold)
+            .get(access.pc)
+            .is_some_and(|e| e.confidence.value() >= self.config.confidence_threshold)
     }
 
     fn table_stats(&self) -> &TableStats {

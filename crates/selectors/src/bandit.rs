@@ -121,14 +121,19 @@ impl BanditSelector {
     /// Decodes an arm index into per-prefetcher degrees.
     #[must_use]
     pub fn arm_degrees(&self, arm: usize) -> Vec<u32> {
-        let base = self.config.degree_choices.len();
-        let mut degrees = Vec::with_capacity(self.config.prefetchers);
+        self.decode_arm(arm).collect()
+    }
+
+    /// The arm index read as a base-`degree_choices` number, one digit per
+    /// prefetcher (least significant first), each digit mapped to its degree.
+    fn decode_arm(&self, arm: usize) -> impl Iterator<Item = u32> + '_ {
+        let choices = &self.config.degree_choices;
         let mut rest = arm;
-        for _ in 0..self.config.prefetchers {
-            degrees.push(self.config.degree_choices[rest % base]);
-            rest /= base;
-        }
-        degrees
+        (0..self.config.prefetchers).map(move |_| {
+            let degree = choices[rest % choices.len()];
+            rest /= choices.len();
+            degree
+        })
     }
 
     /// Index of the arm currently in use.
@@ -182,9 +187,12 @@ impl Selector for BanditSelector {
     ) -> AllocationDecision {
         // Bandit does not gate training: every prefetcher observes every
         // demand request; only the output degree is controlled by the arm.
-        let degrees = self.arm_degrees(self.current_arm);
-        let per_prefetcher = (0..prefetchers.len())
-            .map(|i| Some(DegreeAllocation::l1(degrees.get(i).copied().unwrap_or(0))))
+        // Prefetchers beyond the configured count get degree 0.
+        let per_prefetcher = self
+            .decode_arm(self.current_arm)
+            .chain(std::iter::repeat(0))
+            .take(prefetchers.len())
+            .map(|degree| Some(DegreeAllocation::l1(degree)))
             .collect();
         AllocationDecision { per_prefetcher }
     }

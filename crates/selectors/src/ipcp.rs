@@ -64,18 +64,18 @@ impl Selector for IpcpSelector {
     fn select_requests(
         &mut self,
         _access: &DemandAccess,
-        candidates: Vec<PrefetchRequest>,
+        mut candidates: Vec<PrefetchRequest>,
     ) -> Vec<PrefetchRequest> {
         // Keep only the output of the highest-priority prefetcher that
         // produced anything (lowest issuer index wins).
         let Some(winner) = candidates.iter().map(|r| r.issuer).min_by_key(|p| p.index()) else {
-            return Vec::new();
+            return candidates;
         };
-        let (selected, dropped): (Vec<_>, Vec<_>) =
-            candidates.into_iter().partition(|r| r.issuer == winner);
-        self.requests_selected += selected.len() as u64;
-        self.requests_dropped += dropped.len() as u64;
-        selected
+        let total = candidates.len() as u64;
+        candidates.retain(|r| r.issuer == winner);
+        self.requests_selected += candidates.len() as u64;
+        self.requests_dropped += total - candidates.len() as u64;
+        candidates
     }
 
     fn storage_bits(&self) -> u64 {

@@ -102,6 +102,10 @@ pub trait Selector: Send {
 
     /// Post-processes the candidate prefetch requests produced by the allowed
     /// prefetchers and returns the ones to issue, most important first.
+    ///
+    /// `candidates` is the controller's reusable request buffer: filter it
+    /// in place and return it rather than building a new `Vec`, so that no
+    /// request list is allocated per demand access.
     fn select_requests(
         &mut self,
         access: &DemandAccess,

@@ -2,8 +2,9 @@
 //!
 //! This crate deliberately contains only small, dependency-free building
 //! blocks: strongly typed addresses, demand/prefetch request descriptors,
-//! saturating counters, the folded-XOR PC hash used by the Sandbox Table, and
-//! a handful of statistics helpers used when aggregating results.
+//! saturating counters, the folded-XOR PC hash used by the Sandbox Table, the
+//! fully-associative [`LruTable`] behind every small PC/region/signature
+//! table, and a handful of statistics helpers used when aggregating results.
 //!
 //! # Example
 //!
@@ -21,6 +22,7 @@
 pub mod addr;
 pub mod counter;
 pub mod hash;
+pub mod lru;
 pub mod request;
 pub mod stats;
 pub mod trace;
@@ -31,6 +33,7 @@ pub use addr::{
 };
 pub use counter::{RatioCounter, SaturatingCounter};
 pub use hash::{fnv1a_64, fold_pc, FoldedPcHasher, FNV1A_OFFSET};
+pub use lru::LruTable;
 pub use request::{AccessKind, DemandAccess, FillLevel, PrefetchRequest, PrefetcherId};
 pub use stats::{geomean, harmonic_mean, weighted_geomean, Summary};
 pub use trace::{BoxedRecordIter, MemoryRecord, RecordBatches, TraceSource};
