@@ -303,7 +303,10 @@ mod tests {
         let d = alecto.allocate(&access(0x80, 50_000), &prefetchers);
         let states = alecto.states_of(Pc::new(0x80)).unwrap();
         assert!(states[1].is_aggressive(), "the confirmed prefetcher should be IA: {states:?}");
-        assert!(states[2].is_blocked(), "the useless prefetcher should be IB: {states:?}");
+        assert!(
+            matches!(states[2], PrefetcherState::Blocked(_)),
+            "the useless prefetcher should be IB: {states:?}"
+        );
         assert!(d.per_prefetcher[2].is_none(), "blocked prefetchers receive no demand requests");
         assert!(alecto.stats().epoch_transitions >= 1);
         assert!(alecto.stats().allocations_withheld >= 1);
@@ -388,7 +391,7 @@ mod tests {
         let states = alecto.states_of(Pc::new(0x94)).unwrap();
         assert!(states[1].is_aggressive(), "non-temporal winner: {states:?}");
         assert!(
-            states[3].is_blocked(),
+            matches!(states[3], PrefetcherState::Blocked(_)),
             "temporal prefetcher should be demoted in favour of the non-temporal one: {states:?}"
         );
     }

@@ -27,22 +27,10 @@ pub enum PrefetcherState {
 }
 
 impl PrefetcherState {
-    /// Whether demand requests are currently allocated to the prefetcher.
-    #[must_use]
-    pub const fn receives_requests(&self) -> bool {
-        !matches!(self, PrefetcherState::Blocked(_))
-    }
-
     /// Whether the prefetcher is in any IA sub-state.
     #[must_use]
     pub const fn is_aggressive(&self) -> bool {
         matches!(self, PrefetcherState::Aggressive(_))
-    }
-
-    /// Whether the prefetcher is in any IB sub-state.
-    #[must_use]
-    pub const fn is_blocked(&self) -> bool {
-        matches!(self, PrefetcherState::Blocked(_))
     }
 }
 
@@ -227,11 +215,8 @@ mod tests {
 
     #[test]
     fn state_predicates() {
-        assert!(PrefetcherState::Unidentified.receives_requests());
-        assert!(PrefetcherState::Aggressive(2).receives_requests());
-        assert!(!PrefetcherState::Blocked(0).receives_requests());
         assert!(PrefetcherState::Aggressive(0).is_aggressive());
-        assert!(PrefetcherState::Blocked(3).is_blocked());
+        assert!(!PrefetcherState::Blocked(3).is_aggressive());
         assert_eq!(PrefetcherState::default(), PrefetcherState::Unidentified);
     }
 }

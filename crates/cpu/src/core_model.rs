@@ -62,10 +62,6 @@ impl<V: Copy> ChainTable<V> {
             self.order.push_back(key);
         }
     }
-
-    pub(crate) fn len(&self) -> usize {
-        self.map.len()
-    }
 }
 
 /// Timing and bookkeeping state of one simulated core.
@@ -277,13 +273,6 @@ impl CoreModel {
             rob_occupancy: None,
         }
     }
-
-    /// Number of PCs currently tracked for chain serialisation (bounded at
-    /// `CHAIN_TABLE_CAPACITY`; exposed for the regression tests).
-    #[must_use]
-    pub fn chain_table_len(&self) -> usize {
-        self.chain_completion.len()
-    }
 }
 
 #[cfg(test)]
@@ -479,15 +468,15 @@ mod tests {
         let mut table = ChainTable::new(CHAIN_TABLE_CAPACITY);
         for pc in 0..1_000_000u64 {
             table.insert(pc, pc as f64);
-            assert!(table.len() <= CHAIN_TABLE_CAPACITY);
+            assert!(table.map.len() <= CHAIN_TABLE_CAPACITY);
         }
-        assert_eq!(table.len(), CHAIN_TABLE_CAPACITY);
+        assert_eq!(table.map.len(), CHAIN_TABLE_CAPACITY);
         // FIFO eviction: the oldest keys are gone, the newest survive.
         assert!(table.get(0).is_none());
         assert!(table.get(999_999).is_some());
         // Updating an existing key neither grows the map nor evicts.
         table.insert(999_999, 1.0);
-        assert_eq!(table.len(), CHAIN_TABLE_CAPACITY);
+        assert_eq!(table.map.len(), CHAIN_TABLE_CAPACITY);
         assert_eq!(table.get(999_999), Some(1.0));
     }
 
@@ -505,7 +494,7 @@ mod tests {
             let r = MemoryRecord::dependent_load(Pc::new(i * 4), Addr::new(0x10_0000 + i * 64), 2);
             core.step(&r, &mut hier);
         }
-        assert_eq!(core.chain_table_len(), CHAIN_TABLE_CAPACITY);
+        assert_eq!(core.chain_completion.map.len(), CHAIN_TABLE_CAPACITY);
         assert!(core.instructions() == distinct * 3);
     }
 

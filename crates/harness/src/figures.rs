@@ -1110,7 +1110,7 @@ mod tests {
     use super::*;
 
     fn tiny() -> RunScale {
-        RunScale::with_accesses(600, 300)
+        RunScale { accesses: 600, multicore_accesses: 300, ..RunScale::default() }
     }
 
     #[test]
@@ -1134,7 +1134,8 @@ mod tests {
 
     #[test]
     fn fig19_and_fig20_run_at_tiny_scale() {
-        let scale = RunScale::with_accesses(300, 200).with_jobs(2);
+        let scale =
+            RunScale { accesses: 300, multicore_accesses: 200, jobs: 2, ..RunScale::default() };
         let e = fig19(&scale);
         assert!(e.table.rows.iter().any(|r| r[0].starts_with("Geomean")));
         let e = fig20(&scale);
@@ -1143,7 +1144,8 @@ mod tests {
 
     #[test]
     fn stress_sweeps_every_family_at_every_multiplier() {
-        let scale = RunScale::with_accesses(300, 150).with_jobs(2);
+        let scale =
+            RunScale { accesses: 300, multicore_accesses: 150, jobs: 2, ..RunScale::default() };
         let e = stress(&scale);
         for bench in ["linked-list", "web-cache", "hash-join", "mcf"] {
             for mult in ["1x", "2x", "4x"] {
@@ -1160,7 +1162,8 @@ mod tests {
 
     #[test]
     fn timing_experiment_contrasts_latency_and_bandwidth_regimes() {
-        let scale = RunScale::with_accesses(600, 300).with_jobs(2);
+        let scale =
+            RunScale { accesses: 600, multicore_accesses: 300, jobs: 2, ..RunScale::default() };
         let e = timing(&scale);
         // Every family appears under all three timing regimes.
         for bench in ["mcf", "linked-list", "web-cache", "seq-scan"] {
@@ -1196,7 +1199,7 @@ mod tests {
 
     #[test]
     fn bandit_extended_reports_storage_gap() {
-        let scale = RunScale::with_accesses(300, 200);
+        let scale = RunScale { accesses: 300, multicore_accesses: 200, ..RunScale::default() };
         let e = bandit_extended(&scale);
         let ext_storage: u64 =
             e.table.cell("BanditExt", "storage (bytes)").unwrap().parse().unwrap();

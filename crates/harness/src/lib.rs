@@ -4,8 +4,8 @@
 //! The crate exposes one function per experiment (`figures::fig8`,
 //! `figures::fig13`, `figures::table3`, ...), all returning an
 //! [`report::Experiment`] — a titled text table plus the raw numbers — so the
-//! same code backs the `alecto-harness` CLI, the integration tests and the
-//! Criterion benches.
+//! same code backs the `alecto-harness` CLI, the sweep server and the
+//! integration tests.
 //!
 //! # Module map
 //!

@@ -350,15 +350,6 @@ pub mod json {
                 _ => None,
             }
         }
-
-        /// The boolean value; `None` for non-booleans.
-        #[must_use]
-        pub fn as_bool(&self) -> Option<bool> {
-            match self {
-                JsonValue::Bool(b) => Some(*b),
-                _ => None,
-            }
-        }
     }
 
     /// Serialises `s` as a quoted JSON string with the mandatory escapes.
@@ -708,7 +699,7 @@ mod tests {
         assert_eq!(c.get("avg_mem_latency").and_then(JsonValue::as_f64), Some(17.375));
         assert_eq!(c.get("speedup").and_then(JsonValue::as_f64), Some(1.25));
         assert_eq!(c.get("ipc").and_then(JsonValue::as_f64), Some(2.5));
-        assert_eq!(c.get("memory_intensive").and_then(JsonValue::as_bool), Some(true));
+        assert_eq!(c.get("memory_intensive"), Some(&JsonValue::Bool(true)));
         // The nullable pipeline metrics: present as a number when reported,
         // an explicit JSON null otherwise.
         assert_eq!(c.get("branch_mpki").and_then(JsonValue::as_f64), Some(6.5));
@@ -728,7 +719,7 @@ mod tests {
         let a = v.get("a").and_then(JsonValue::as_array).unwrap();
         assert_eq!(a[0].as_f64(), Some(1.0));
         assert_eq!(a[1].as_f64(), Some(-2500.0));
-        assert_eq!(a[2].as_bool(), Some(true));
+        assert_eq!(a[2], JsonValue::Bool(true));
         assert_eq!(a[5].as_str(), Some("xA"));
         assert_eq!(v.get("b"), Some(&JsonValue::Object(vec![])));
     }

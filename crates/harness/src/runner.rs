@@ -78,20 +78,6 @@ impl RunScale {
         Self { accesses: 4_000, multicore_accesses: 1_500, ..Self::default() }
     }
 
-    /// A scale with explicit access budgets and the default (auto) worker
-    /// count — the common constructor for tests and benches.
-    #[must_use]
-    pub fn with_accesses(accesses: usize, multicore_accesses: usize) -> Self {
-        Self { accesses, multicore_accesses, ..Self::default() }
-    }
-
-    /// Same scale with an explicit worker count.
-    #[must_use]
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs;
-        self
-    }
-
     /// Same scale with an explicit core timing model.
     #[must_use]
     pub fn with_core_model(mut self, core_model: cpu::CoreModelKind) -> Self {
@@ -676,7 +662,6 @@ mod tests {
     #[test]
     fn scale_presets() {
         assert!(RunScale::default().accesses > RunScale::quick().accesses);
-        assert_eq!(RunScale::with_accesses(100, 50).with_jobs(2).jobs, 2);
     }
 
     #[test]

@@ -91,7 +91,7 @@ fn sweep_lifecycle_cache_reuse_and_byte_identity() {
     let per_cell =
         cold_job.get("completed_cells").and_then(JsonValue::as_array).expect("per-cell progress");
     assert_eq!(per_cell.len() as f64, completed);
-    assert!(per_cell.iter().all(|c| c.get("cached").and_then(JsonValue::as_bool) == Some(false)));
+    assert!(per_cell.iter().all(|c| c.get("cached") == Some(&JsonValue::Bool(false))));
 
     let (status, cold_result) = http(&addr, "GET", &format!("/v1/results/{cold_id}"), "");
     assert_eq!(status, 200);

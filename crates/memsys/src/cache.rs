@@ -413,17 +413,6 @@ impl Cache {
         self.hot[block + self.ways + way] = stamp;
     }
 
-    /// Invalidates `line` if present, returning its metadata. Used by the
-    /// mostly-exclusive L3 when a line is promoted to the private levels.
-    pub fn invalidate(&mut self, line: LineAddr) -> Option<LineMeta> {
-        let block = self.hot_block(line);
-        let (way, _) = self.find_way(block, line.raw())?;
-        let meta = self.meta_at(block, way);
-        self.hot[block + way] = NO_TAG;
-        self.hot[block + self.ways + way] = 0;
-        Some(meta)
-    }
-
     /// Number of resident lines (for tests and occupancy reporting).
     #[must_use]
     pub fn occupancy(&self) -> usize {
@@ -434,21 +423,17 @@ impl Cache {
             })
             .sum()
     }
-
-    /// Iterates over all resident line metadata (read-only snapshot values).
-    pub fn resident_lines(&self) -> impl Iterator<Item = LineMeta> + '_ {
-        (0..self.num_sets).flat_map(move |set| {
-            let block = set * 2 * self.ways;
-            (0..self.ways)
-                .filter(move |&w| self.hot[block + w] != NO_TAG)
-                .map(move |w| self.meta_at(block, w))
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn resident_meta(c: &Cache, line: LineAddr) -> LineMeta {
+        let block = c.hot_block(line);
+        let (way, _) = c.find_way(block, line.raw()).expect("line is resident");
+        c.meta_at(block, way)
+    }
 
     fn tiny_cache(ways: usize, sets: usize) -> Cache {
         Cache::new(CacheParams {
@@ -522,17 +507,7 @@ mod tests {
         let mut c = tiny_cache(2, 1);
         c.fill(LineAddr::new(7), None, None, false);
         c.demand_lookup(LineAddr::new(7), true);
-        let meta = c.resident_lines().find(|m| m.line == LineAddr::new(7)).unwrap();
-        assert!(meta.dirty);
-    }
-
-    #[test]
-    fn invalidate_removes_line() {
-        let mut c = tiny_cache(2, 2);
-        c.fill(LineAddr::new(5), None, None, false);
-        assert!(c.invalidate(LineAddr::new(5)).is_some());
-        assert!(!c.contains(LineAddr::new(5)));
-        assert!(c.invalidate(LineAddr::new(5)).is_none());
+        assert!(resident_meta(&c, LineAddr::new(7)).dirty);
     }
 
     #[test]
@@ -541,7 +516,7 @@ mod tests {
         c.fill(LineAddr::new(1), None, None, false);
         c.fill(LineAddr::new(1), None, None, true);
         assert_eq!(c.occupancy(), 1);
-        assert!(c.resident_lines().next().unwrap().dirty);
+        assert!(resident_meta(&c, LineAddr::new(1)).dirty);
     }
 
     #[test]
@@ -551,20 +526,6 @@ mod tests {
             c.fill(LineAddr::new(i), None, None, false);
         }
         assert_eq!(c.occupancy(), 10);
-    }
-
-    #[test]
-    fn fill_reuses_an_invalidated_way() {
-        // An invalidated way becomes a hole in the flat arrays; the next fill
-        // to the set must land there instead of evicting a live line.
-        let mut c = tiny_cache(2, 1);
-        c.fill(LineAddr::new(0), None, None, false);
-        c.fill(LineAddr::new(1), None, None, false);
-        assert!(c.invalidate(LineAddr::new(0)).is_some());
-        assert!(c.fill(LineAddr::new(2), None, None, false).is_none(), "no eviction expected");
-        assert!(c.contains(LineAddr::new(1)));
-        assert!(c.contains(LineAddr::new(2)));
-        assert_eq!(c.occupancy(), 2);
     }
 
     #[test]
@@ -597,16 +558,13 @@ mod tests {
 
     #[test]
     fn eviction_order_is_stamp_based_not_storage_based() {
-        // Touch lines in an order that, under the old Vec layout, shuffles
-        // storage positions (invalidate + refill); the LRU victim must still
-        // be the least recently *stamped* line.
+        // The LRU victim is the least recently *stamped* line, not the one in
+        // the lowest way.
         let mut c = tiny_cache(3, 1);
         for i in 0..3 {
             c.fill(LineAddr::new(i), None, None, false);
         }
         c.demand_lookup(LineAddr::new(0), false); // 1 is now LRU
-        c.invalidate(LineAddr::new(2));
-        c.fill(LineAddr::new(2), None, None, false); // refill into the hole
         let ev = c.fill(LineAddr::new(9), None, None, false).expect("full set evicts");
         assert_eq!(ev.line, LineAddr::new(1));
     }

@@ -9,7 +9,7 @@ use crate::config::{HierarchyParams, Level};
 use crate::dram::DramModel;
 use crate::mshr::MshrFile;
 use crate::stats::{CacheStats, Cycle, PrefetchQuality};
-use crate::timing::{BandwidthQueue, BandwidthQueueStats, TimingStats};
+use crate::timing::{BandwidthQueue, TimingStats};
 
 /// How a demand access interacted with previously issued prefetches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -150,12 +150,6 @@ impl Hierarchy {
         &self.params
     }
 
-    /// Number of cores.
-    #[must_use]
-    pub fn num_cores(&self) -> usize {
-        self.cores.len()
-    }
-
     /// L1D statistics of `core`.
     #[must_use]
     pub fn l1_stats(&self, core: usize) -> &CacheStats {
@@ -191,13 +185,6 @@ impl Hierarchy {
     #[must_use]
     pub fn timing_stats(&self, core: usize) -> &TimingStats {
         &self.cores[core].timing
-    }
-
-    /// Statistics of the DRAM admission (bandwidth) queue, shared by all
-    /// cores and by prefetch traffic.
-    #[must_use]
-    pub const fn dram_queue_stats(&self) -> &BandwidthQueueStats {
-        self.dram_queue.stats()
     }
 
     /// Total prefetches that actually went out (not dropped as redundant).
@@ -636,12 +623,6 @@ impl Hierarchy {
         self.prefetches_issued += 1;
         PrefetchIssueResult { issued: true, completion_cycle: completion, went_to_dram }
     }
-
-    /// Idealised DRAM latency (used by the core model for stall estimation).
-    #[must_use]
-    pub fn unloaded_dram_latency(&self) -> u64 {
-        self.params.l3.latency + self.dram.unloaded_latency()
-    }
 }
 
 #[cfg(test)]
@@ -848,7 +829,7 @@ mod tests {
                 let r = h.demand_access(0, LineAddr::new(i), 0);
                 done = done.max(r.completion_cycle);
             }
-            (done, h.timing_stats(0).dram_queue_cycles, h.dram_queue_stats().admitted)
+            (done, h.timing_stats(0).dram_queue_cycles, h.dram_stats().accesses)
         };
         let (fast_done, fast_queue, fast_admitted) =
             run(crate::timing::TimingParams::latency_sensitive());

@@ -42,4 +42,4 @@ pub use hierarchy::{
 };
 pub use mshr::{MshrEntry, MshrFile};
 pub use stats::{CacheStats, Cycle, PrefetchQuality};
-pub use timing::{BandwidthQueue, BandwidthQueueStats, TimingParams, TimingStats};
+pub use timing::{BandwidthQueue, TimingParams, TimingStats};

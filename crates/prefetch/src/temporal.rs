@@ -52,10 +52,14 @@ impl TemporalConfig {
 #[derive(Debug, Clone)]
 pub struct TemporalPrefetcher {
     config: TemporalConfig,
-    /// line -> (successor line, insertion order) correlation table. Ordered
-    /// so that capacity eviction is deterministic across runs and threads.
+    /// line -> (successor line, write order) correlation table.
     table: BTreeMap<LineAddr, (LineAddr, u64)>,
-    /// FIFO order counter used for capacity eviction.
+    /// write order -> line: the same entries as `table`, keyed so that the
+    /// least recently written one is the first. Orders are unique (the clock
+    /// ticks before every write), so this index picks exactly the entry a
+    /// minimum scan over `table` would.
+    by_order: BTreeMap<u64, LineAddr>,
+    /// Write clock: stamps every insert and every successor update.
     insert_clock: u64,
     last_line: Option<LineAddr>,
     stats: TableStats,
@@ -67,6 +71,7 @@ impl TemporalPrefetcher {
     pub fn new(config: TemporalConfig) -> Self {
         Self {
             table: BTreeMap::new(),
+            by_order: BTreeMap::new(),
             config,
             insert_clock: 0,
             last_line: None,
@@ -97,11 +102,12 @@ impl TemporalPrefetcher {
         if self.table.len() < capacity {
             return;
         }
-        // Approximate FIFO eviction: drop the oldest entry. A full Triangel
-        // implementation uses set-associative metadata with usefulness-aware
-        // replacement; FIFO is sufficient to expose the capacity pressure the
-        // paper's Fig. 14 measures.
-        if let Some((&victim, _)) = self.table.iter().min_by_key(|(_, (_, order))| *order) {
+        // Least-recently-written eviction: an update re-stamps its entry, so
+        // this is not FIFO. A full Triangel implementation uses
+        // set-associative metadata with usefulness-aware replacement; this is
+        // sufficient to expose the capacity pressure the paper's Fig. 14
+        // measures.
+        if let Some((_, victim)) = self.by_order.pop_first() {
             self.table.remove(&victim);
             self.stats.evictions += 1;
         }
@@ -126,11 +132,13 @@ impl Prefetcher for TemporalPrefetcher {
             if prev != line {
                 self.insert_clock += 1;
                 if let Some(slot) = self.table.get_mut(&prev) {
+                    self.by_order.remove(&slot.1);
                     *slot = (line, self.insert_clock);
                 } else {
                     self.evict_if_full();
                     self.table.insert(prev, (line, self.insert_clock));
                 }
+                self.by_order.insert(self.insert_clock, prev);
             }
         }
         self.last_line = Some(line);

@@ -51,16 +51,6 @@ pub struct TableStats {
 }
 
 impl TableStats {
-    /// Table hit ratio in `[0, 1]`; zero when no lookups happened.
-    #[must_use]
-    pub fn hit_ratio(&self) -> f64 {
-        if self.lookups == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.lookups as f64
-        }
-    }
-
     /// Merges another stats record into this one.
     pub fn merge(&mut self, other: &TableStats) {
         self.lookups += other.lookups;
@@ -136,7 +126,6 @@ mod tests {
             evictions: 1,
             candidates_emitted: 5,
         };
-        assert!((a.hit_ratio() - 0.7).abs() < 1e-12);
         let b = TableStats {
             lookups: 10,
             hits: 3,
@@ -152,7 +141,6 @@ mod tests {
         assert_eq!(a.trainings, 12);
         assert_eq!(a.evictions, 1);
         assert_eq!(a.candidates_emitted, 6);
-        assert_eq!(TableStats::default().hit_ratio(), 0.0);
     }
 
     #[test]

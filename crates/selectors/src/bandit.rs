@@ -106,22 +106,10 @@ impl BanditSelector {
         Self::new_with_variant(BanditConfig::extended(c, m, prefetchers), Variant::Extended)
     }
 
-    /// Custom configuration (treated as an extended variant for naming).
-    #[must_use]
-    pub fn with_config(config: BanditConfig) -> Self {
-        Self::new_with_variant(config, Variant::Extended)
-    }
-
     /// Configuration in use.
     #[must_use]
     pub const fn config(&self) -> &BanditConfig {
         &self.config
-    }
-
-    /// Decodes an arm index into per-prefetcher degrees.
-    #[must_use]
-    pub fn arm_degrees(&self, arm: usize) -> Vec<u32> {
-        self.decode_arm(arm).collect()
     }
 
     /// The arm index read as a base-`degree_choices` number, one digit per
@@ -246,12 +234,10 @@ mod tests {
     #[test]
     fn arm_decoding_covers_all_degrees() {
         let b = BanditSelector::bandit3(3);
-        let all_off = b.arm_degrees(0);
-        assert_eq!(all_off, vec![0, 0, 0]);
-        let all_on = b.arm_degrees(7);
-        assert_eq!(all_on, vec![3, 3, 3]);
-        let mixed = b.arm_degrees(5); // binary 101
-        assert_eq!(mixed, vec![3, 0, 3]);
+        let degrees = |arm| b.decode_arm(arm).collect::<Vec<_>>();
+        assert_eq!(degrees(0), vec![0, 0, 0]);
+        assert_eq!(degrees(7), vec![3, 3, 3]);
+        assert_eq!(degrees(5), vec![3, 0, 3]); // binary 101
     }
 
     #[test]

@@ -54,12 +54,6 @@ impl Addr {
         PageAddr(self.0 >> PAGE_OFFSET_BITS)
     }
 
-    /// Byte offset within the cache line.
-    #[must_use]
-    pub const fn line_offset(self) -> u64 {
-        self.0 & (CACHE_LINE_BYTES - 1)
-    }
-
     /// Returns the address advanced by `bytes` (wrapping).
     #[must_use]
     pub const fn offset(self, bytes: i64) -> Self {
@@ -94,12 +88,6 @@ impl LineAddr {
     #[must_use]
     pub const fn raw(self) -> u64 {
         self.0
-    }
-
-    /// Converts back to the byte address of the first byte in the line.
-    #[must_use]
-    pub const fn base_addr(self) -> Addr {
-        Addr(self.0 << LINE_OFFSET_BITS)
     }
 
     /// The page containing this line.
@@ -159,12 +147,6 @@ impl PageAddr {
         self.0
     }
 
-    /// The first cache line in this page.
-    #[must_use]
-    pub const fn first_line(self) -> LineAddr {
-        LineAddr(self.0 << (PAGE_OFFSET_BITS - LINE_OFFSET_BITS))
-    }
-
     /// The `i`-th cache line in this page (`i` is taken modulo lines-per-page).
     #[must_use]
     pub const fn line(self, i: u64) -> LineAddr {
@@ -221,14 +203,13 @@ mod tests {
         let a = Addr::new(0x1_2345);
         assert_eq!(a.line().raw(), 0x1_2345 >> 6);
         assert_eq!(a.page().raw(), 0x1_2345 >> 12);
-        assert_eq!(a.line_offset(), 0x05);
     }
 
     #[test]
     fn line_round_trip() {
         let l = LineAddr::new(42);
-        assert_eq!(l.base_addr().line(), l);
-        assert_eq!(l.base_addr().raw(), 42 * 64);
+        assert_eq!(Addr::new(l.raw() * CACHE_LINE_BYTES).line(), l);
+        assert_eq!(Addr::new(l.raw() * CACHE_LINE_BYTES + 63).line(), l);
     }
 
     #[test]
@@ -244,8 +225,8 @@ mod tests {
     #[test]
     fn page_lines() {
         let p = PageAddr::new(7);
-        assert_eq!(p.first_line().page(), p);
-        assert_eq!(p.line(0), p.first_line());
+        assert_eq!(p.line(0).page(), p);
+        assert_eq!(p.line(0).raw(), 7 * 64);
         assert_eq!(p.line(63).index_in_page(), 63);
         assert_eq!(p.line(63).page(), p);
         // wraps modulo lines-per-page

@@ -107,7 +107,11 @@ fn eight_core_simulation_produces_consistent_reports() {
 
 #[test]
 fn harness_quick_experiments_render() {
-    let scale = harness::RunScale::with_accesses(400, 200);
+    let scale = harness::RunScale {
+        accesses: 400,
+        multicore_accesses: 200,
+        ..harness::RunScale::default()
+    };
     let fig19 = harness::figures::fig19(&scale);
     assert!(fig19.render().contains("Alecto"));
     let table3 = harness::figures::table3();

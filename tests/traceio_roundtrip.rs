@@ -96,7 +96,8 @@ fn replayed_grid_cells_are_byte_identical_across_sources_and_worker_counts() {
     let reports: Vec<String> = [(&generated, 1), (&generated, 4), (&replayed, 1), (&replayed, 3)]
         .into_iter()
         .map(|(source, jobs)| {
-            let scale = RunScale::with_accesses(accesses, accesses).with_jobs(jobs);
+            let scale =
+                RunScale { accesses, multicore_accesses: accesses, jobs, ..RunScale::default() };
             let experiment = harness::figures::replay(std::slice::from_ref(source), &scale);
             experiments_to_json(&[experiment])
         })
